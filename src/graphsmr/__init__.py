@@ -17,8 +17,6 @@ from .core import (
     Set,
     VertexId,
     conflicts,
-    expand_deps,
-    union_deps,
 )
 
 __version__ = "0.1.0"
@@ -38,7 +36,5 @@ __all__ = [
     "Set",
     "VertexId",
     "conflicts",
-    "expand_deps",
-    "union_deps",
     "__version__",
 ]

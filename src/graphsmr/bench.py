@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 from .core import Get, Op, Set
-from .harness.history import check_history
+from .harness.history import Record, check_history
 from .harness.mutations import NO_MUTATIONS
-from .harness.sim import SimConfig, SimResult, Timeouts, role_loads, run_simulation
+from .harness.sim import SimConfig, Timeouts, role_loads, run_simulation
 
 HOT_KEY = b"hotkey!!"  # eight bytes, like every key and value
 
@@ -157,22 +157,32 @@ def run_bench(config: BenchConfig) -> BenchReport:
 
     workload = generate_workload(config, random.Random(f"{config.seed}/workload"))
     result = run_simulation(sim_config_for(config), workload)
-    verdict = check_history(result.history)
+    latencies = result.latencies_ms()
+    loads = role_loads(result) if latencies else {}
+    return report_from(config, result.history, latencies, result.end_ms, loads)
+
+
+def report_from(
+    config: BenchConfig,
+    history: list[Record],
+    latencies: list[float],
+    elapsed_ms: float,
+    loads: dict[str, Fraction],
+) -> BenchReport:
+    """Check a run's history, then summarise the run. Raises AssertionError
+    when the history violates safety."""
+    verdict = check_history(history)
     if not verdict.ok:
         raise AssertionError(f"bench run violated safety:\n{verdict}")
-    return report_from(config, result, checked=True)
-
-
-def report_from(config: BenchConfig, result: SimResult, checked: bool) -> BenchReport:
-    latencies = sorted(result.latencies_ms())
+    latencies = sorted(latencies)
     commands = len(latencies)
-    elapsed_ms = result.end_ms if result.end_ms > 0 else 1.0
+    elapsed_ms = elapsed_ms if elapsed_ms > 0 else 1.0
     return BenchReport(
         throughput=commands / (elapsed_ms / 1000.0),
         p50_ms=percentile(latencies, 0.50),
         p99_ms=percentile(latencies, 0.99),
-        role_loads=role_loads(result) if commands else {},
+        role_loads=loads,
         config=config,
-        checked=checked,
+        checked=True,
         commands=commands,
     )

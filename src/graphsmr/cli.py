@@ -27,9 +27,16 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 
 
-def load_config_file(path: str) -> dict:
-    """Plain-text key=value defaults; '#' starts a comment."""
-    values: dict[str, str] = {}
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
+
+
+def load_config_file(path: str, parsed: dict) -> dict:
+    """Plain-text key=value defaults for one subcommand; '#' starts a
+    comment. Keys name the flag destinations found in `parsed`, the
+    subcommand's namespace. On/off switches become booleans; other values
+    stay strings, which argparse converts with the flag's own type."""
+    values: dict[str, object] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -38,7 +45,18 @@ def load_config_file(path: str) -> dict:
             if "=" not in line:
                 raise ConfigError(f"{path}:{lineno}: expected key=value")
             key, value = line.split("=", 1)
-            values[key.strip().replace("-", "_")] = value.strip()
+            key, value = key.strip().replace("-", "_"), value.strip()
+            if key not in parsed or key in ("command", "command_parser", "config"):
+                raise ConfigError(
+                    f"{path}:{lineno}: unknown key {key!r} for {parsed['command']}; "
+                    "keys name flag destinations, such as batch_size for --batch"
+                )
+            if isinstance(parsed[key], bool):
+                if value.lower() not in _BOOLEANS:
+                    raise ConfigError(f"{path}:{lineno}: {key} must be on or off")
+                values[key] = _BOOLEANS[value.lower()]
+            else:
+                values[key] = value
     return values
 
 
@@ -146,6 +164,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--vertex-bound", type=int, default=None)
     p_check.add_argument("--max-states", type=int, default=5_000_000)
 
+    # main() sets a subcommand's config-file defaults through this
+    for p in (p_run, p_bench, p_sim, p_check):
+        p.set_defaults(command_parser=p)
     return parser
 
 
@@ -285,7 +306,7 @@ def cmd_check(args) -> int:
         conflicts = full_conflicts(commands)
     elif args.conflict == "none":
         conflicts = no_conflicts()
-    else:
+    elif args.conflict == "pairs":
         pairs = set()
         for chunk in filter(None, args.pairs.split(",")):
             a, _, b = chunk.partition(":")
@@ -294,6 +315,8 @@ def cmd_check(args) -> int:
             pairs.add((a, b))
             pairs.add((b, a))
         conflicts = frozenset(pairs)
+    else:
+        raise ConfigError(f"unknown conflict mode {args.conflict!r}")
     try:
         cfg = ModelConfig(
             commands=commands,
@@ -316,29 +339,17 @@ def cmd_check(args) -> int:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args, _unknown = parser.parse_known_args(argv)
+    args = parser.parse_args(argv)
     if args.config:
         try:
-            defaults = load_config_file(args.config)
+            defaults = load_config_file(args.config, vars(args))
         except (OSError, ConfigError) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return EXIT_USAGE
-        coerced = {}
-        for key, value in defaults.items():
-            for action in parser._subparsers._group_actions[0].choices[
-                args.command
-            ]._actions:
-                if action.dest == key:
-                    if action.type is not None:
-                        value = action.type(value)
-                    elif isinstance(action.const, bool) or isinstance(
-                        action.default, bool
-                    ):
-                        value = value.lower() in ("1", "true", "yes", "on")
-                    coerced[key] = value
-        sub = parser._subparsers._group_actions[0].choices[args.command]
-        sub.set_defaults(**coerced)
-    args = parser.parse_args(argv)
+        # subparser defaults, unlike a pre-filled namespace, survive the
+        # subcommand's own parse; explicit flags still win over them
+        args.command_parser.set_defaults(**defaults)
+        args = parser.parse_args(argv)
     try:
         if args.command == "run":
             return cmd_run(args)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Iterator, Optional, Union
+from typing import Iterable, Iterator, Optional, Union
 
 _FNV64_OFFSET = 0xCBF29CE484222325
 _FNV64_PRIME = 0x100000001B3
@@ -100,7 +100,7 @@ class Batch:
 Payload = Union[Command, Batch, Noop]
 
 
-def _footprint(x: Payload) -> Iterator[tuple[bytes, bool]]:
+def footprint(x: Payload) -> Iterator[tuple[bytes, bool]]:
     """(key, is_write) pairs touched by a payload. Noop touches nothing."""
     if isinstance(x, Command):
         if isinstance(x.op, Get):
@@ -109,7 +109,7 @@ def _footprint(x: Payload) -> Iterator[tuple[bytes, bool]]:
             yield (x.op.key, True)
     elif isinstance(x, Batch):
         for cmd in x.commands:
-            yield from _footprint(cmd)
+            yield from footprint(cmd)
 
 
 def conflicts(x: Payload, y: Payload) -> bool:
@@ -119,12 +119,17 @@ def conflicts(x: Payload, y: Payload) -> bool:
     conflict when any member pair does.
     """
     seen: dict[bytes, bool] = {}
-    for key, is_write in _footprint(x):
+    for key, is_write in footprint(x):
         seen[key] = seen.get(key, False) or is_write
-    for key, is_write in _footprint(y):
+    for key, is_write in footprint(y):
         if key in seen and (is_write or seen[key]):
             return True
     return False
+
+
+# Both dependency-set formats answer `v in deps` in O(1), iterate over the
+# covered vertex ids, have a `len` (and so emptiness) and a `union`. Only
+# expand() builds a set; it is meant for tests and offline measurement.
 
 
 @dataclass(frozen=True)
@@ -133,6 +138,15 @@ class ExactDeps:
 
     vertices: frozenset[VertexId]
 
+    def __contains__(self, v: VertexId) -> bool:
+        return v in self.vertices
+
+    def __iter__(self) -> Iterator[VertexId]:
+        return iter(self.vertices)
+
+    def __len__(self) -> int:
+        return len(self.vertices)
+
     def expand(self) -> frozenset[VertexId]:
         return self.vertices
 
@@ -140,9 +154,6 @@ class ExactDeps:
         if not isinstance(other, ExactDeps):
             raise TypeError("cannot union exact deps with compact deps")
         return ExactDeps(self.vertices | other.vertices)
-
-    def sorted_vertices(self) -> list[VertexId]:
-        return sorted(self.vertices, key=VertexId.sort_key)
 
 
 @dataclass(frozen=True)
@@ -156,13 +167,33 @@ class CompactDeps:
 
     watermarks: tuple[Optional[int], ...]
 
+    @classmethod
+    def covering(cls, vertices: Iterable[VertexId], num_leaders: int) -> "CompactDeps":
+        """The smallest watermark set that contains every given vertex."""
+        watermarks: list[Optional[int]] = [None] * num_leaders
+        for v in vertices:
+            w = watermarks[v.leader_index]
+            if w is None or v.seq > w:
+                watermarks[v.leader_index] = v.seq
+        return cls(tuple(watermarks))
+
+    def __contains__(self, v: VertexId) -> bool:
+        if not 0 <= v.leader_index < len(self.watermarks):
+            return False
+        w = self.watermarks[v.leader_index]
+        return w is not None and v.seq <= w
+
+    def __iter__(self) -> Iterator[VertexId]:
+        for i, w in enumerate(self.watermarks):
+            if w is not None:
+                for k in range(w + 1):
+                    yield VertexId(i, k)
+
+    def __len__(self) -> int:
+        return sum(w + 1 for w in self.watermarks if w is not None)
+
     def expand(self) -> frozenset[VertexId]:
-        return frozenset(
-            VertexId(i, k)
-            for i, w in enumerate(self.watermarks)
-            if w is not None
-            for k in range(w + 1)
-        )
+        return frozenset(self)
 
     def union(self, other: "Deps") -> "CompactDeps":
         if not isinstance(other, CompactDeps):
@@ -181,14 +212,6 @@ Deps = Union[ExactDeps, CompactDeps]
 EMPTY_DEPS = ExactDeps(frozenset())
 
 
-def expand_deps(d: Deps) -> frozenset[VertexId]:
-    return d.expand()
-
-
-def union_deps(a: Deps, b: Deps) -> Deps:
-    return a.union(b)
-
-
 @dataclass(frozen=True)
 class Proposal:
     """The unit of consensus for one vertex: a payload plus its deps.
@@ -199,7 +222,7 @@ class Proposal:
     deps: Deps
 
     def __post_init__(self) -> None:
-        if isinstance(self.cmd, Noop) and self.deps.expand():
+        if isinstance(self.cmd, Noop) and self.deps:
             raise ValueError("noop proposals carry empty dependencies")
 
 
@@ -214,9 +237,9 @@ class CommitGraph:
     """Map of committed vertices plus execution status.
 
     Committed entries are immutable: re-committing a vertex with a different
-    proposal raises AgreementViolation. The edge set of a vertex is its deps
-    expansion with the vertex itself removed (compact deps can cover their
-    own id; the self-edge is meaningless and dropped).
+    proposal raises AgreementViolation. The edges of a vertex are its deps.
+    Compact deps can cover their own id; that self-edge is meaningless, and
+    every caller treats it as already satisfied.
     """
 
     def __init__(self) -> None:
@@ -233,16 +256,9 @@ class CommitGraph:
         self.committed[v] = p
         return True
 
-    def edges(self, v: VertexId) -> frozenset[VertexId]:
-        return self.committed[v].deps.expand() - {v}
-
-    def is_executed(self, v: VertexId) -> bool:
-        return v in self.executed
+    def edges(self, v: VertexId) -> Deps:
+        return self.committed[v].deps
 
     def mark_executed(self, v: VertexId) -> None:
         assert v in self.committed
         self.executed.add(v)
-
-    def frontier(self) -> list[VertexId]:
-        """Committed but not yet executed vertices."""
-        return [v for v in self.committed if v not in self.executed]

@@ -5,9 +5,9 @@ by the same node end up ordered (the later one depends on the earlier one).
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Union
 
-from .core import Batch, Command, CompactDeps, Deps, ExactDeps, VertexId, _footprint
+from .core import Batch, Command, CompactDeps, Deps, ExactDeps, VertexId, footprint
 from .messages import DepReply, DepRequest, Effect, Message, Send
 
 
@@ -38,7 +38,7 @@ class DepServiceNode:
             return cached
 
         conflicting: set[VertexId] = set()
-        for key, is_write in _footprint(cmd):
+        for key, is_write in footprint(cmd):
             conflicting |= self._writes.get(key, set())
             if is_write:
                 conflicting |= self._reads.get(key, set())
@@ -46,16 +46,11 @@ class DepServiceNode:
 
         deps: Deps
         if self.compact:
-            watermarks: list[Optional[int]] = [None] * self.num_leaders
-            for dep in conflicting:
-                w = watermarks[dep.leader_index]
-                if w is None or dep.seq > w:
-                    watermarks[dep.leader_index] = dep.seq
-            deps = CompactDeps(tuple(watermarks))
+            deps = CompactDeps.covering(conflicting, self.num_leaders)
         else:
             deps = ExactDeps(frozenset(conflicting))
 
-        for key, is_write in _footprint(cmd):
+        for key, is_write in footprint(cmd):
             index = self._writes if is_write else self._reads
             index.setdefault(key, set()).add(v)
         self.reply_cache[v] = deps

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..consensus import ChosenEvent
-from ..core import Batch, Command, Get, Payload, Proposal, VertexId
+from ..core import Get, Payload, Proposal, VertexId, footprint
 from ..replica import CommitSeen, ExecEvent, RespondEvent
 
 Record = tuple[float, int, object]
@@ -68,16 +68,8 @@ def _payload_conflict_pairs(payloads: dict[VertexId, Payload]) -> set[frozenset]
     index so non-conflicting workloads stay cheap."""
     readers: dict[bytes, list[VertexId]] = {}
     writers: dict[bytes, list[VertexId]] = {}
-
-    def feet(p: Payload):
-        if isinstance(p, Command):
-            yield (p.op.key, not isinstance(p.op, Get))
-        elif isinstance(p, Batch):
-            for c in p.commands:
-                yield from feet(c)
-
     for v, payload in payloads.items():
-        for key, is_write in feet(payload):
+        for key, is_write in footprint(payload):
             (writers if is_write else readers).setdefault(key, []).append(v)
 
     pairs: set[frozenset] = set()
@@ -132,9 +124,7 @@ def check_history(records: list[Record]) -> Verdict:
     conflict_pairs = _payload_conflict_pairs(payloads)
     for pair in conflict_pairs:
         a, b = tuple(pair)
-        da = proposals[a].deps.expand()
-        db = proposals[b].deps.expand()
-        if a not in db and b not in da:
+        if a not in proposals[b].deps and b not in proposals[a].deps:
             violations.append(
                 Violation(
                     "dependency-invariant",

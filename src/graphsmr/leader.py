@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from .core import Batch, Command, Deps, Proposal, VertexId, union_deps
+from .core import Batch, Command, Deps, Proposal, VertexId
 from .messages import (
     ClientRequest,
     DepReply,
@@ -126,7 +126,7 @@ class Leader:
             return []
         deps = None
         for d in pending.replies.values():
-            deps = d if deps is None else union_deps(deps, d)
+            deps = d if deps is None else deps.union(d)
         del self.pending[reply.v]
         proposer = self.proposers[reply.v.leader_index % len(self.proposers)]
         return [Send(proposer, ProposeRequest(reply.v, Proposal(pending.cmd, deps)))]

@@ -179,9 +179,12 @@ class Replica:
         if not fresh:
             return out  # duplicate delivery of the same proposal
         self.recovery_attempts.pop(v, None)
-        for dep in sorted(self.graph.edges(v), key=VertexId.sort_key):
-            if dep not in self.graph.committed and dep not in self.recovery_attempts:
-                out.append(self._arm_recovery(dep))
+        missing = [
+            dep for dep in self.graph.edges(v)
+            if dep not in self.graph.committed and dep not in self.recovery_attempts
+        ]
+        for dep in sorted(missing, key=VertexId.sort_key):
+            out.append(self._arm_recovery(dep))
         if self.skip_scc_order:
             out.extend(self._execute_vertex(v))
             return out
@@ -206,29 +209,23 @@ class Replica:
         if not frontier:
             return []
         frontier.sort(key=VertexId.sort_key)  # deterministic traversal
-        in_frontier = set(frontier)
         out: list[Effect] = []
-        for comp in _tarjan_sccs(frontier, lambda v: self._frontier_edges(v, in_frontier)):
+        for comp in _tarjan_sccs(frontier, lambda v: self._frontier_edges(v, frontier)):
             members = set(comp)
-            eligible = True
-            for v in comp:
-                for dep in self.graph.edges(v):
-                    if dep in members or self.graph.is_executed(dep):
-                        continue
-                    eligible = False
-                    break
-                if not eligible:
-                    break
-            if eligible:
+            if all(
+                dep in members or dep in self.graph.executed
+                for v in comp
+                for dep in self.graph.edges(v)
+            ):
                 for v in sorted(comp, key=VertexId.sort_key):
                     out.extend(self._execute_vertex(v))
         return out
 
-    def _frontier_edges(self, v: VertexId, in_frontier: set[VertexId]) -> list[VertexId]:
-        return sorted(
-            (d for d in self.graph.edges(v) if d in in_frontier),
-            key=VertexId.sort_key,
-        )
+    def _frontier_edges(self, v: VertexId, frontier: list[VertexId]) -> list[VertexId]:
+        """v's edges into the frontier, in the frontier's (sorted) order. A
+        self-edge is kept: it cannot change Tarjan's components."""
+        deps = self.graph.edges(v)
+        return [w for w in frontier if w in deps]
 
     def _execute_vertex(self, v: VertexId) -> list[Effect]:
         proposal = self.graph.committed[v]

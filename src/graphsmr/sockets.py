@@ -199,26 +199,12 @@ def run_socket_bench(config):
     """Socket-transport benchmark; wall-clock numbers, no determinism."""
     import random
 
-    from .bench import generate_workload, sim_config_for
+    from .bench import generate_workload, report_from, sim_config_for
 
     workload = generate_workload(config, random.Random(f"{config.seed}/workload"))
     cluster = SocketCluster(sim_config_for(config), workload)
     run = cluster.run(wall_limit_ms=config.duration_ms)
     if not run.completed:
         raise RuntimeError("socket bench did not complete within the wall limit")
-
-    latencies = sorted(
-        done - sent for c in run.clients for sent, done in c.reply_times
-    )
-    from .bench import BenchReport, percentile
-
-    commands = len(latencies)
-    return BenchReport(
-        throughput=commands / (run.wall_ms / 1000.0),
-        p50_ms=percentile(latencies, 0.50),
-        p99_ms=percentile(latencies, 0.99),
-        role_loads={},
-        config=config,
-        checked=False,
-        commands=commands,
-    )
+    latencies = [done - sent for c in run.clients for sent, done in c.reply_times]
+    return report_from(config, run.history, latencies, run.wall_ms, {})

@@ -170,20 +170,14 @@ def _read_payload(r: _Reader):
 def _write_deps(w: _Writer, deps: Deps) -> None:
     if isinstance(deps, ExactDeps):
         w.u8(0)
-        vs = deps.sorted_vertices()
-        w.u32(len(vs))
-        for v in vs:
+        w.u32(len(deps))
+        for v in sorted(deps, key=VertexId.sort_key):
             w.vertex(v)
     else:
         w.u8(1)
         w.u32(len(deps.watermarks))
         for wm in deps.watermarks:
-            if wm is None:
-                w.u8(0)
-                w.u32(0)
-            else:
-                w.u8(1)
-                w.u32(wm)
+            _write_opt_u32(w, wm)
 
 
 def _read_deps(r: _Reader) -> Deps:
@@ -191,12 +185,7 @@ def _read_deps(r: _Reader) -> Deps:
     if tag == 0:
         return ExactDeps(frozenset(r.vertex() for _ in range(r.u32())))
     if tag == 1:
-        marks = []
-        for _ in range(r.u32()):
-            present = r.u8()
-            value = r.u32()
-            marks.append(value if present else None)
-        return CompactDeps(tuple(marks))
+        return CompactDeps(tuple(_read_opt_u32(r) for _ in range(r.u32())))
     raise WireError(f"bad deps tag {tag}")
 
 

@@ -28,7 +28,6 @@ from graphsmr.core import (
     Proposal,
     Set,
     VertexId,
-    expand_deps,
 )
 from graphsmr.depservice import DepServiceNode
 from graphsmr.harness import (
@@ -195,9 +194,9 @@ def test_criterion_5_dependency_compaction_figure():
     exact = exact_node.handle_dep_request(VertexId(2, 5), probe)
     compact = compact_node.handle_dep_request(VertexId(2, 5), probe)
     assert compact == CompactDeps((1, 2, 1))
-    assert len(expand_deps(compact)) == 7
-    assert expand_deps(exact) == frozenset(VertexId(l, s) for l, s in stored)
-    assert expand_deps(exact) < expand_deps(compact)
+    assert len(compact.expand()) == 7
+    assert exact.expand() == frozenset(VertexId(l, s) for l, s in stored)
+    assert exact.expand() < compact.expand()
     _report(
         "criterion 5 PASS: five-command state compacts to watermarks "
         "(1, 2, 1); the 7-element expansion strictly contains the 5 exact deps"

@@ -12,6 +12,7 @@ from graphsmr.bench import (
     percentile,
     run_bench,
 )
+from graphsmr import cli
 from graphsmr.cli import main, parse_fault_file
 from graphsmr.core import Set, conflicts, Command
 from graphsmr.harness.sim import Crash, LinkFault, Partition
@@ -155,6 +156,40 @@ class TestCli:
         rc = main(["--config", str(conf), "sim", "--commands-per-client", "2"])
         assert rc == 0
         assert "6/6 commands answered" in capsys.readouterr().out
+
+    def test_config_file_keys_name_flag_destinations(self, tmp_path, monkeypatch):
+        conf = tmp_path / "defaults.conf"
+        conf.write_text("batch_size = 4\ncompact-deps = on\nclients = 3\n")
+        seen = {}
+        monkeypatch.setattr(cli, "cmd_sim", lambda args: seen.update(vars(args)) or 0)
+        assert main(["--config", str(conf), "sim", "--clients", "7"]) == 0
+        assert (seen["batch_size"], seen["compact_deps"], seen["clients"]) == (4, True, 7)
+
+    @pytest.mark.parametrize(
+        "command, line",
+        [
+            ("sim", "clientz = 3"),
+            ("sim", "batch = 8"),
+            ("sim", "compact_deps = maybe"),
+            ("sim", "command = run"),
+            ("check", "conflict = bogus"),
+        ],
+    )
+    def test_config_file_unknown_key_or_bad_choice_exit_two(
+        self, tmp_path, capsys, command, line
+    ):
+        conf = tmp_path / "bad.conf"
+        conf.write_text(line + "\n")
+        assert main(["--config", str(conf), command]) == 2
+        assert "config error" in capsys.readouterr().err
+
+    def test_config_file_bad_value_exit_two(self, tmp_path, capsys):
+        conf = tmp_path / "bad.conf"
+        conf.write_text("clients = abc\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(conf), "sim"])
+        assert exc.value.code == 2
+        assert "invalid int value: 'abc'" in capsys.readouterr().err
 
     def test_fault_file_parsing(self, tmp_path):
         path = tmp_path / "faults.txt"

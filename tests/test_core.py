@@ -11,9 +11,7 @@ from graphsmr.core import (
     Set,
     VertexId,
     conflicts,
-    expand_deps,
     fnv1a64,
-    union_deps,
 )
 
 
@@ -84,7 +82,7 @@ class TestVertexOrder:
 class TestDeps:
     def test_exact_expand_identity(self):
         d = ExactDeps(frozenset({VertexId(0, 0)}))
-        assert expand_deps(d) == {VertexId(0, 0)}
+        assert d.expand() == {VertexId(0, 0)}
 
     def test_compact_expand_rectangle(self):
         # watermarks L0->1, L1->2, L2->1 cover seven ids
@@ -98,26 +96,26 @@ class TestDeps:
             VertexId(2, 0),
             VertexId(2, 1),
         }
-        assert expand_deps(d) == expected
+        assert d.expand() == expected
 
     def test_compact_empty(self):
-        assert expand_deps(CompactDeps((None, None, None))) == frozenset()
+        assert CompactDeps((None, None, None)).expand() == frozenset()
 
     def test_exact_union(self):
         a = ExactDeps(frozenset({VertexId(0, 0)}))
         b = ExactDeps(frozenset({VertexId(1, 0)}))
-        assert union_deps(a, b).vertices == {VertexId(0, 0), VertexId(1, 0)}
+        assert a.union(b).vertices == {VertexId(0, 0), VertexId(1, 0)}
 
     def test_compact_union_pointwise_max(self):
         a = CompactDeps((1, None))
         b = CompactDeps((0, 2))
-        assert union_deps(a, b) == CompactDeps((1, 2))
+        assert a.union(b) == CompactDeps((1, 2))
 
     def test_mixed_variant_rejected(self):
         with pytest.raises(TypeError):
-            union_deps(ExactDeps(frozenset()), CompactDeps((None,)))
+            ExactDeps(frozenset()).union(CompactDeps((None,)))
         with pytest.raises(TypeError):
-            union_deps(CompactDeps((None,)), ExactDeps(frozenset()))
+            CompactDeps((None,)).union(ExactDeps(frozenset()))
 
 
 exact_deps = st.frozensets(vertex_ids, max_size=6).map(ExactDeps)
@@ -128,25 +126,35 @@ compact_deps = st.lists(
 
 @given(exact_deps, exact_deps)
 def test_exact_union_matches_expansion_union(a, b):
-    assert expand_deps(union_deps(a, b)) == expand_deps(a) | expand_deps(b)
+    assert a.union(b).expand() == a.expand() | b.expand()
 
 
 @given(compact_deps, compact_deps)
 def test_compact_union_matches_expansion_union(a, b):
-    assert expand_deps(union_deps(a, b)) == expand_deps(a) | expand_deps(b)
+    assert a.union(b).expand() == a.expand() | b.expand()
 
 
 @given(st.one_of(exact_deps, compact_deps))
 def test_union_idempotent(d):
-    assert union_deps(d, d) == d
+    assert d.union(d) == d
+
+
+@given(st.one_of(exact_deps, compact_deps), vertex_ids)
+def test_membership_size_and_iteration_match_expansion(d, v):
+    assert (v in d) == (v in d.expand())
+    assert len(d) == len(d.expand())
+    assert sorted(d) == sorted(d.expand())
 
 
 def test_noop_proposal_must_have_empty_deps():
     from graphsmr.core import NOOP, NOOP_PROPOSAL, Proposal
 
     assert NOOP_PROPOSAL.deps.expand() == frozenset()
+    Proposal(NOOP, CompactDeps((None, None)))
     with pytest.raises(ValueError):
         Proposal(NOOP, ExactDeps(frozenset({VertexId(0, 0)})))
+    with pytest.raises(ValueError):
+        Proposal(NOOP, CompactDeps((None, 0)))
 
 
 class TestEncoding:

@@ -10,8 +10,6 @@ from graphsmr.core import (
     Set,
     VertexId,
     conflicts,
-    expand_deps,
-    union_deps,
 )
 from graphsmr.depservice import DepServiceNode
 from graphsmr.messages import DepReply, DepRequest, Send
@@ -44,13 +42,13 @@ def test_five_command_state_compact_mode():
         node.handle_dep_request(VertexId(leader, seq), Command("c", i + 1, Set(b"k", b"v")))
     deps = node.handle_dep_request(VertexId(2, 5), Command("x", 1, Set(b"k", b"v")))
     assert deps == CompactDeps((1, 2, 1))
-    assert len(expand_deps(deps)) == 7
+    assert len(deps.expand()) == 7
 
 
 def test_empty_state_returns_empty_deps():
     node = DepServiceNode("d0", num_leaders=2)
     deps = node.handle_dep_request(VertexId(0, 0), Command("c", 1, Set(b"k", b"v")))
-    assert expand_deps(deps) == frozenset()
+    assert deps.expand() == frozenset()
 
 
 def test_duplicate_request_returns_cached_reply():
@@ -67,14 +65,14 @@ def test_read_depends_only_on_writes():
     node.handle_dep_request(VertexId(0, 0), Command("c", 1, Get(b"k")))
     node.handle_dep_request(VertexId(0, 1), Command("c", 2, Set(b"k", b"v")))
     deps = node.handle_dep_request(VertexId(1, 0), Command("d", 1, Get(b"k")))
-    assert expand_deps(deps) == {VertexId(0, 1)}
+    assert deps.expand() == {VertexId(0, 1)}
 
 
 def test_excludes_own_vertex():
     node = DepServiceNode("d0", num_leaders=2)
     v = VertexId(0, 0)
     deps = node.handle_dep_request(v, Command("c", 1, Set(b"k", b"v")))
-    assert v not in expand_deps(deps)
+    assert v not in deps.expand()
 
 
 def test_on_message_replies_to_sender():
@@ -113,7 +111,7 @@ def test_local_ordering_property(entries):
     for i, (vx, x) in enumerate(cmds):
         for vy, y in cmds[i + 1 :]:
             if conflicts(x, y):
-                assert vx in expand_deps(replies[vy])
+                assert vx in replies[vy].expand()
 
 
 @given(cmd_entries)
@@ -123,7 +121,7 @@ def test_compact_reply_superset_of_exact(entries):
     for v, cmd in _build_cmds(entries):
         e = exact.handle_dep_request(v, cmd)
         c = compact.handle_dep_request(v, cmd)
-        assert expand_deps(e) <= expand_deps(c)
+        assert e.expand() <= c.expand()
 
 
 @given(
@@ -146,11 +144,9 @@ def test_quorum_property_with_leader_aggregation(entries, rng):
     aggregated = {}
     for v, _cmd in cmds:
         i, j = sorted(rng.sample(range(3), 2))
-        aggregated[v] = union_deps(per_node_replies[i][v], per_node_replies[j][v])
+        aggregated[v] = per_node_replies[i][v].union(per_node_replies[j][v])
 
     for i, (vx, x) in enumerate(cmds):
         for vy, y in cmds[i + 1 :]:
             if conflicts(x, y):
-                assert vx in expand_deps(aggregated[vy]) or vy in expand_deps(
-                    aggregated[vx]
-                )
+                assert vx in aggregated[vy].expand() or vy in aggregated[vx].expand()

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 
 from fuzz_helpers import fuzz_config, mutation_config, random_workload
-from graphsmr.core import Get, NOOP, Proposal, Set, VertexId, ExactDeps, EMPTY_DEPS, Command
+from graphsmr.core import Get, NOOP, Proposal, Set, VertexId, CompactDeps, ExactDeps, EMPTY_DEPS, Command
 from graphsmr.harness import (
     ALL_MUTATIONS,
     ConfigError,
@@ -218,13 +218,24 @@ class TestCheckerOnSyntheticHistories:
         assert verdict.violations[0].kind == "per-vertex-agreement"
         assert len(verdict.violations[0].events) == 2
 
-    def test_dependency_invariant_violation(self):
+    @pytest.mark.parametrize(
+        "first_deps, second_deps, flagged",
+        [
+            (EMPTY_DEPS, EMPTY_DEPS, True),
+            # the first vertex is (0, 3): a watermark of 2 stops one short
+            (CompactDeps((None, None)), CompactDeps((2, None)), True),
+            (CompactDeps((None, None)), CompactDeps((3, None)), False),
+        ],
+        ids=["exact-empty", "compact-one-short", "compact-covers"],
+    )
+    def test_dependency_invariant_violation(self, first_deps, second_deps, flagged):
+        first = VertexId(0, 3)
         records = [
-            self._rec(0, CommitSeen("rep-0", self.V1, Proposal(self.W1, EMPTY_DEPS))),
-            self._rec(1, CommitSeen("rep-0", self.V2, Proposal(self.W2, EMPTY_DEPS))),
+            self._rec(0, CommitSeen("rep-0", first, Proposal(self.W1, first_deps))),
+            self._rec(1, CommitSeen("rep-0", self.V2, Proposal(self.W2, second_deps))),
         ]
         verdict = check_history(records)
-        assert any(v.kind == "dependency-invariant" for v in verdict.violations)
+        assert any(v.kind == "dependency-invariant" for v in verdict.violations) == flagged
 
     def test_conflicting_order_violation(self):
         p1 = Proposal(self.W1, ExactDeps(frozenset({self.V2})))
