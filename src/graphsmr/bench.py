@@ -52,6 +52,10 @@ class BenchConfig:
             raise ValueError(f"unknown transport {self.transport!r}")
 
 
+class IncompleteRun(Exception):
+    """The run stopped at its duration cap before every command was answered."""
+
+
 @dataclass
 class BenchReport:
     throughput: float  # commands per second of simulated (or wall) time
@@ -170,12 +174,16 @@ def report_from(
     loads: dict[str, Fraction],
 ) -> BenchReport:
     """Check a run's history, then summarise the run. Raises AssertionError
-    when the history violates safety."""
+    on a safety violation and IncompleteRun if a command went unanswered."""
     verdict = check_history(history)
     if not verdict.ok:
         raise AssertionError(f"bench run violated safety:\n{verdict}")
     latencies = sorted(latencies)
     commands = len(latencies)
+    total = config.clients * config.commands_per_client
+    if commands < total:
+        raise IncompleteRun(f"{commands}/{total} commands answered in "
+                            f"--duration-ms {config.duration_ms:g}")
     elapsed_ms = elapsed_ms if elapsed_ms > 0 else 1.0
     return BenchReport(
         throughput=commands / (elapsed_ms / 1000.0),

@@ -16,7 +16,8 @@ from __future__ import annotations
 import argparse
 import random
 import sys
-from .bench import CSV_HEADER, BenchConfig, bottleneck_model, generate_workload, run_bench
+from .bench import (CSV_HEADER, BenchConfig, IncompleteRun, bottleneck_model,
+                    generate_workload, run_bench)
 from .harness.cluster import ConfigError
 from .harness.history import check_history, export_history
 from .harness.sim import Crash, LinkFault, Partition, SimConfig, run_simulation
@@ -226,6 +227,9 @@ def cmd_bench(args) -> int:
         report = run_bench(config)
     except AssertionError as exc:
         print(f"safety check failed:\n{exc}", file=sys.stderr)
+        return EXIT_VIOLATION
+    except IncompleteRun as exc:
+        print(f"bench run did not complete: {exc}", file=sys.stderr)
         return EXIT_VIOLATION
     row = report.csv_row()
     print(CSV_HEADER)

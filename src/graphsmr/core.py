@@ -237,14 +237,16 @@ class CommitGraph:
     """Map of committed vertices plus execution status.
 
     Committed entries are immutable: re-committing a vertex with a different
-    proposal raises AgreementViolation. The edges of a vertex are its deps.
-    Compact deps can cover their own id; that self-edge is meaningless, and
-    every caller treats it as already satisfied.
+    proposal raises AgreementViolation. waiting[v] lists, in vertex order,
+    the deps a committed but unexecuted vertex v may still wait on: those
+    not executed when v was added, never v itself (compact deps can cover
+    it). Callers may prune it in place as deps execute.
     """
 
     def __init__(self) -> None:
         self.committed: dict[VertexId, Proposal] = {}
         self.executed: set[VertexId] = set()
+        self.waiting: dict[VertexId, list[VertexId]] = {}
 
     def add(self, v: VertexId, p: Proposal) -> bool:
         """Record a committed vertex. Returns False on duplicate delivery."""
@@ -254,11 +256,10 @@ class CommitGraph:
                 raise AgreementViolation(f"vertex {v}: {existing} vs {p}")
             return False
         self.committed[v] = p
+        deps = (dep for dep in p.deps if dep not in self.executed and dep != v)
+        self.waiting[v] = sorted(deps, key=VertexId.sort_key)
         return True
 
-    def edges(self, v: VertexId) -> Deps:
-        return self.committed[v].deps
-
     def mark_executed(self, v: VertexId) -> None:
-        assert v in self.committed
+        del self.waiting[v]
         self.executed.add(v)

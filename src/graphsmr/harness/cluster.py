@@ -23,7 +23,6 @@ from ..messages import (
 )
 from ..replica import Replica
 from .history import Invoke, Reply
-from .mutations import Mutations, NO_MUTATIONS
 
 
 class ConfigError(ValueError):
@@ -141,7 +140,7 @@ def build_cluster(config, workload: list[list[Op]]):
         raise ConfigError("probabilities must lie in [0, 1]")
 
     lay = layout(f, config.leaders, config.replicas, len(workload))
-    muts: Mutations = getattr(config, "mutations", NO_MUTATIONS)
+    muts = config.mutations
     t = config.timeouts
 
     roles: dict[str, object] = {}
@@ -158,9 +157,9 @@ def build_cluster(config, workload: list[list[Op]]):
             thrifty=config.thrifty,
             dep_quorum_override=1 if muts.dep_quorum_one else None,
         )
-    for i, name in enumerate(lay.dep_nodes):
+    for name in lay.dep_nodes:
         roles[name] = DepServiceNode(name, config.leaders, compact=config.compact_deps)
-    for i, name in enumerate(lay.acceptors):
+    for name in lay.acceptors:
         roles[name] = Acceptor(name, ignore_promises=muts.acceptor_ignores_promises)
     num_total = config.leaders + config.replicas
     for i, name in enumerate(lay.proposers):

@@ -179,12 +179,9 @@ class Replica:
         if not fresh:
             return out  # duplicate delivery of the same proposal
         self.recovery_attempts.pop(v, None)
-        missing = [
-            dep for dep in self.graph.edges(v)
-            if dep not in self.graph.committed and dep not in self.recovery_attempts
-        ]
-        for dep in sorted(missing, key=VertexId.sort_key):
-            out.append(self._arm_recovery(dep))
+        for dep in self.graph.waiting[v]:
+            if dep not in self.graph.committed and dep not in self.recovery_attempts:
+                out.append(self._arm_recovery(dep))
         if self.skip_scc_order:
             out.extend(self._execute_vertex(v))
             return out
@@ -202,30 +199,25 @@ class Replica:
 
         Tarjan emits components after everything they point at, so a single
         pass in emission order reaches the fixpoint: a component runs iff
-        all member dependencies are executed (possibly earlier in this same
-        pass) or internal to it.
+        its members are all waiting and, once executed deps are pruned, wait
+        only on each other. An uncommitted dep has no edges and never runs.
         """
-        frontier = [v for v in self.graph.committed if v not in self.graph.executed]
-        if not frontier:
-            return []
-        frontier.sort(key=VertexId.sort_key)  # deterministic traversal
+        waiting = self.graph.waiting
         out: list[Effect] = []
-        for comp in _tarjan_sccs(frontier, lambda v: self._frontier_edges(v, frontier)):
+        roots = sorted(waiting, key=VertexId.sort_key)  # deterministic traversal
+        for comp in _tarjan_sccs(roots, self._waiting_on):
             members = set(comp)
-            if all(
-                dep in members or dep in self.graph.executed
-                for v in comp
-                for dep in self.graph.edges(v)
-            ):
+            if all(v in waiting and members.issuperset(self._waiting_on(v)) for v in comp):
                 for v in sorted(comp, key=VertexId.sort_key):
                     out.extend(self._execute_vertex(v))
         return out
 
-    def _frontier_edges(self, v: VertexId, frontier: list[VertexId]) -> list[VertexId]:
-        """v's edges into the frontier, in the frontier's (sorted) order. A
-        self-edge is kept: it cannot change Tarjan's components."""
-        deps = self.graph.edges(v)
-        return [w for w in frontier if w in deps]
+    def _waiting_on(self, v: VertexId) -> list[VertexId]:
+        """v's edges: its waiting list, pruned in place of executed deps."""
+        deps = self.graph.waiting.get(v)
+        if deps:
+            deps[:] = [dep for dep in deps if dep not in self.graph.executed]
+        return deps or []
 
     def _execute_vertex(self, v: VertexId) -> list[Effect]:
         proposal = self.graph.committed[v]
@@ -325,42 +317,37 @@ def _tarjan_sccs(vertices, edges_of):
     lowlink: dict = {}
     on_stack: set = set()
     stack: list = []
-    counter = [0]
+    work: list = []
+
+    def visit(v):
+        index[v] = lowlink[v] = len(index)
+        stack.append(v)
+        on_stack.add(v)
+        work.append((v, iter(edges_of(v))))
 
     for root in vertices:
         if root in index:
             continue
-        work = [(root, iter(edges_of(root)))]
-        index[root] = lowlink[root] = counter[0]
-        counter[0] += 1
-        stack.append(root)
-        on_stack.add(root)
+        visit(root)
         while work:
             v, it = work[-1]
-            advanced = False
             for w in it:
                 if w not in index:
-                    index[w] = lowlink[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(edges_of(w))))
-                    advanced = True
+                    visit(w)
                     break
                 if w in on_stack:
                     lowlink[v] = min(lowlink[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
-            if lowlink[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                yield comp
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    lowlink[parent] = min(lowlink[parent], lowlink[v])
+                if lowlink[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack.discard(w)
+                        comp.append(w)
+                        if w == v:
+                            break
+                    yield comp

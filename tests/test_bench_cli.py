@@ -146,6 +146,23 @@ class TestCli:
         assert lines[0] == CSV_HEADER
         assert lines[1].startswith("c1,")
 
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--clients", "2", "--commands-per-client", "5", "--duration-ms", "3"],
+            ["--transport", "socket", "--clients", "1", "--commands-per-client", "1",
+             "--duration-ms", "1"],
+        ],
+        ids=["sim", "socket"],
+    )
+    def test_bench_incomplete_run_exit_one(self, args, capsys):
+        rc = main(["bench", *args])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("bench run did not complete: ")
+        assert captured.err.count("\n") == 1
+
     def test_usage_error_exit_two(self, capsys):
         rc = main(["check", "--conflict", "pairs", "--pairs", "nonsense"])
         assert rc == 2

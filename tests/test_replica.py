@@ -110,6 +110,50 @@ def test_self_edge_from_compact_deps_is_dropped():
     assert [e.v for e in execs(out)] == [v]
 
 
+def test_waiting_lists_unexecuted_deps_in_vertex_order():
+    from graphsmr.core import CompactDeps
+
+    rep = make_replica()
+    cmd = Command("c", 1, Get(b"k"))
+    rep.commit(VertexId(0, 0), Proposal(cmd, EMPTY_DEPS), 0.0)
+    v = VertexId(1, 3)
+    deps = exact(VertexId(1, 1), VertexId(0, 0), VertexId(0, 2), VertexId(1, 0))
+    rep.commit(v, Proposal(cmd, deps), 1.0)
+    assert rep.graph.waiting[v] == [VertexId(1, 0), VertexId(1, 1), VertexId(0, 2)]
+    # compact deps covering their own vertex do not list it
+    w = VertexId(1, 2)
+    rep.commit(w, Proposal(cmd, CompactDeps((1, 2))), 2.0)
+    assert rep.graph.waiting[w] == [VertexId(1, 0), VertexId(0, 1), VertexId(1, 1)]
+    for u in (VertexId(1, 0), VertexId(0, 1), VertexId(1, 1), VertexId(0, 2)):
+        rep.commit(u, Proposal(cmd, EMPTY_DEPS), 3.0)
+    assert rep.graph.waiting == {}
+    assert len(rep.graph.executed) == len(rep.graph.committed) == 7
+
+
+def test_execute_eligible_edge_lookups_do_not_grow_with_history():
+    def lookups(executed):
+        rep = make_replica()
+        done = [VertexId(0, i) for i in range(executed)]
+        for i, v in enumerate(done):
+            rep.commit(v, Proposal(Command("c", i + 1, Get(b"k")), EMPTY_DEPS), 0.0)
+        # blocked on one uncommitted vertex, and on everything executed
+        blocked = Proposal(Command("d", 1, Set(b"k", b"v")), exact(VertexId(1, 0), *done))
+        rep.commit(VertexId(1, 1), blocked, 1.0)
+        edges_of = rep._waiting_on
+        sizes = []
+
+        def counted(v):
+            edges = edges_of(v)
+            sizes.append(len(edges))
+            return edges
+
+        rep._waiting_on = counted
+        assert execs(rep.execute_eligible()) == []
+        return sizes  # one entry per lookup: the edges it returned
+
+    assert lookups(10) == lookups(1000)
+
+
 def test_duplicate_commit_same_proposal_is_noop():
     rep = make_replica()
     p = Proposal(Command("c", 1, Set(b"a", b"1")), EMPTY_DEPS)
