@@ -9,8 +9,10 @@ acceptors) become the bottleneck, then flattens.
 """
 
 import sys
+from pathlib import Path
 
-sys.path.insert(0, "src")
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
 from graphsmr.bench import CSV_HEADER, BenchConfig, run_bench
 

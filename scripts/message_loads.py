@@ -8,8 +8,10 @@ leader 2N+2, proposer 2N+R+1, dependency node 2, acceptor 2, replica
 """
 
 import sys
+from pathlib import Path
 
-sys.path.insert(0, "src")
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
 from fractions import Fraction
 

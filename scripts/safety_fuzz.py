@@ -8,9 +8,11 @@ Usage: python scripts/safety_fuzz.py [num_seeds]
 
 import sys
 import time
+from pathlib import Path
 
-sys.path.insert(0, "src")
-sys.path.insert(0, "tests")
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))
 
 from fuzz_helpers import fuzz_config
 from graphsmr.harness import check_history, run_simulation

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Union
 
+from .. import wire
 from ..leader import AssignEvent
 from ..messages import Note, Send, SetTimer
 from ..replica import ReplicaPanic
@@ -56,14 +57,6 @@ class SimConfig:
     max_sim_ms: float = 60_000.0
     mutations: Mutations = field(default_factory=lambda: NO_MUTATIONS)
     capture_wire_trace: bool = False  # record delivered messages as frames
-
-    @property
-    def num_dep_nodes(self) -> int:
-        return 2 * self.f + 1
-
-    @property
-    def num_acceptors(self) -> int:
-        return 2 * self.f + 1
 
 
 @dataclass(frozen=True)
@@ -225,9 +218,7 @@ class Simulation:
                 if self._crashed(dst, t):
                     continue
                 if self.config.capture_wire_trace:
-                    from ..wire import encode_trace_record
-
-                    self.wire_trace.append(encode_trace_record(src, dst, msg))
+                    self.wire_trace.append(wire.encode_trace_record(src, dst, msg))
                 machine = self.machine_of[dst]
                 start = max(t, self.busy.get(machine, 0.0))
                 done = start + self._service_cost(dst)

@@ -5,11 +5,16 @@ Every message payload starts with one tag byte; all integers are big-endian,
 byte strings are u32-length-prefixed, vertex ids use the canonical 8-byte
 encoding from core. The same schema serves the socket transport and
 simulator trace dumps.
+
+An exact dependency set is its vertices in increasing (seq, leader) order;
+the decoder rejects any other order, so one set has exactly one encoding.
 """
 
 from __future__ import annotations
 
+import operator
 import struct
+import weakref
 from typing import Optional, Union
 
 from .core import (
@@ -56,6 +61,11 @@ _MESSAGE_TAGS = [
 _TAG_OF = {cls: i + 1 for i, cls in enumerate(_MESSAGE_TAGS)}
 
 
+_U8 = struct.Struct(">B")
+_U32 = struct.Struct(">I")
+_LOW32 = 0xFFFFFFFF
+
+
 class WireError(ValueError):
     pass
 
@@ -65,10 +75,10 @@ class _Writer:
         self.parts: list[bytes] = []
 
     def u8(self, x: int) -> None:
-        self.parts.append(struct.pack(">B", x))
+        self.parts.append(_U8.pack(x))
 
     def u32(self, x: int) -> None:
-        self.parts.append(struct.pack(">I", x))
+        self.parts.append(_U32.pack(x))
 
     def blob(self, b: bytes) -> None:
         self.u32(len(b))
@@ -100,7 +110,14 @@ class _Reader:
         return self._take(1)[0]
 
     def u32(self) -> int:
-        return struct.unpack(">I", self._take(4))[0]
+        return _U32.unpack(self._take(4))[0]
+
+    def u32s(self, n: int) -> tuple[int, ...]:
+        if self.pos + 4 * n > len(self.data):
+            raise WireError("truncated frame")
+        out = struct.unpack_from(f">{n}I", self.data, self.pos)
+        self.pos += 4 * n
+        return out
 
     def blob(self) -> bytes:
         return self._take(self.u32())
@@ -167,12 +184,29 @@ def _read_payload(r: _Reader):
     raise WireError(f"bad payload tag {tag}")
 
 
+# Exact dependency sets grow with the history and one set rides on many
+# messages, so its bytes are kept per set. A value is a pure function of its
+# key, so every caller may share the memo; weak keys drop an entry once no
+# message, proposal or history record holds the set.
+_exact_deps_bytes: "weakref.WeakKeyDictionary[ExactDeps, bytes]" = weakref.WeakKeyDictionary()
+
+
+def _encode_exact_deps(deps: ExactDeps) -> bytes:
+    """Tag 0, the count, then (leader u32, seq u32) per vertex in increasing
+    (seq, leader) order. Leader indices are positions in the cluster's
+    leader list, far below 2**32, so (seq << 32) | leader sorts in that
+    order and splits back into the two fields."""
+    keys = sorted([(v.seq << 32) | v.leader_index for v in deps.vertices])
+    fields = [x for k in keys for x in (k & _LOW32, k >> 32)]
+    return struct.pack(f">BI{len(fields)}I", 0, len(keys), *fields)
+
+
 def _write_deps(w: _Writer, deps: Deps) -> None:
     if isinstance(deps, ExactDeps):
-        w.u8(0)
-        w.u32(len(deps))
-        for v in sorted(deps, key=VertexId.sort_key):
-            w.vertex(v)
+        data = _exact_deps_bytes.get(deps)
+        if data is None:
+            data = _exact_deps_bytes[deps] = _encode_exact_deps(deps)
+        w.parts.append(data)
     else:
         w.u8(1)
         w.u32(len(deps.watermarks))
@@ -183,7 +217,12 @@ def _write_deps(w: _Writer, deps: Deps) -> None:
 def _read_deps(r: _Reader) -> Deps:
     tag = r.u8()
     if tag == 0:
-        return ExactDeps(frozenset(r.vertex() for _ in range(r.u32())))
+        fields = r.u32s(2 * r.u32())
+        leaders, seqs = fields[0::2], fields[1::2]
+        keys = [(seq << 32) | leader for leader, seq in zip(leaders, seqs)]
+        if not all(map(operator.lt, keys, keys[1:])):
+            raise WireError("exact deps not in strictly increasing (seq, leader) order")
+        return ExactDeps(frozenset(map(VertexId, leaders, seqs)))
     if tag == 1:
         return CompactDeps(tuple(_read_opt_u32(r) for _ in range(r.u32())))
     raise WireError(f"bad deps tag {tag}")

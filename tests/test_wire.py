@@ -1,6 +1,9 @@
+import gc
+
 import pytest
 from hypothesis import given, strategies as st
 
+import graphsmr.wire as wire
 from graphsmr.core import (
     Batch,
     Command,
@@ -25,7 +28,15 @@ from graphsmr.messages import (
     Phase2b,
     ProposeRequest,
 )
-from graphsmr.wire import WireError, decode_frame, decode_message, encode_frame, encode_message
+from graphsmr.wire import (
+    WireError,
+    decode_frame,
+    decode_message,
+    decode_trace,
+    encode_frame,
+    encode_message,
+    encode_trace_record,
+)
 
 vertex_ids = st.builds(VertexId, st.integers(0, 10), st.integers(0, 1000))
 ops = st.one_of(
@@ -114,6 +125,67 @@ def test_unknown_tag_rejected():
         decode_message(b"\xff\x00")
 
 
+# Commit of (leader 0, seq 5) with a Get of b"k" by client "c", seq 7, and
+# deps on both leaders: vertices in (seq, leader) order, each (leader, seq)
+GOLDEN_DEPS = [VertexId(1, 2), VertexId(0, 2), VertexId(1, 0), VertexId(0, 0)]
+GOLDEN_COMMIT = bytes.fromhex(
+    "0a" "00000000" "00000005"  # Commit tag, vertex (0, 5)
+    "00" "00000001" "63" "00000007" "00" "00000001" "6b"  # Command c/7 Get k
+    "00" "00000004"  # exact deps, 4 vertices
+    "00000000" "00000000"  # (0, 0)
+    "00000001" "00000000"  # (1, 0)
+    "00000000" "00000002"  # (0, 2)
+    "00000001" "00000002"  # (1, 2)
+)
+EXACT_DEPS_AT = 1 + 8 + 1 + 5 + 4 + 1 + 5  # offset of the deps tag
+
+
+def _golden_commit(vertices) -> Commit:
+    proposal = Proposal(Command("c", 7, Get(b"k")), ExactDeps(frozenset(vertices)))
+    return Commit(VertexId(0, 5), proposal)
+
+
+def test_exact_deps_golden_bytes():
+    assert encode_message(_golden_commit(GOLDEN_DEPS)) == GOLDEN_COMMIT
+    assert decode_message(GOLDEN_COMMIT) == _golden_commit(GOLDEN_DEPS)
+
+
+def test_exact_deps_out_of_order_or_duplicate_rejected():
+    vertices = GOLDEN_COMMIT[EXACT_DEPS_AT + 5 :]
+    swapped = vertices[8:16] + vertices[:8] + vertices[16:]
+    duplicated = vertices[:8] + vertices[:8] + vertices[8:]
+    for deps in (b"\x00\x00\x00\x00\x04" + swapped, b"\x00\x00\x00\x00\x05" + duplicated):
+        with pytest.raises(WireError, match="increasing"):
+            decode_message(GOLDEN_COMMIT[:EXACT_DEPS_AT] + deps)
+
+
+def test_exact_deps_truncated_list_rejected():
+    count_past_end = b"\x00\xff\xff\xff\xff"
+    with pytest.raises(WireError, match="truncated"):
+        decode_message(GOLDEN_COMMIT[:EXACT_DEPS_AT] + count_past_end + GOLDEN_COMMIT[EXACT_DEPS_AT + 5 :])
+
+
+def test_equal_exact_deps_share_one_memo_entry():
+    gc.collect()
+    before = len(wire._exact_deps_bytes)
+    a = _golden_commit(GOLDEN_DEPS)
+    b = _golden_commit(reversed(GOLDEN_DEPS))
+    assert a.proposal.deps is not b.proposal.deps
+    assert encode_message(a) == encode_message(b) == GOLDEN_COMMIT
+    assert len(wire._exact_deps_bytes) == before + 1
+
+
+def test_exact_deps_memo_holds_no_strong_reference():
+    gc.collect()
+    before = len(wire._exact_deps_bytes)
+    msg = _golden_commit(GOLDEN_DEPS)
+    encode_message(msg)
+    assert len(wire._exact_deps_bytes) == before + 1
+    del msg
+    gc.collect()
+    assert len(wire._exact_deps_bytes) == before
+
+
 class TestSimulatorTraceDump:
     def test_sim_trace_decodes_with_same_schema(self):
         import random
@@ -133,6 +205,20 @@ class TestSimulatorTraceDump:
         srcs = {src for src, _dst, _msg in records}
         assert any(s.startswith("client-") for s in srcs)
         assert any(s.startswith("prop-") for s in srcs)
+
+    def test_sim_trace_records_re_encode_to_same_bytes(self):
+        import random
+
+        from fuzz_helpers import random_workload
+        from graphsmr.harness import SimConfig, run_simulation
+
+        result = run_simulation(
+            SimConfig(seed=3, drop_prob=0.05, dup_prob=0.05, capture_wire_trace=True),
+            random_workload(random.Random(3), 4, 10, 0.5),
+        )
+        records = decode_trace(result.wire_trace)
+        assert max(len(m.proposal.deps) for _s, _d, m in records if isinstance(m, Commit)) > 1
+        assert b"".join(encode_trace_record(*record) for record in records) == result.wire_trace
 
     def test_cli_dump_trace(self, tmp_path):
         from graphsmr.cli import main
