@@ -3,9 +3,15 @@
 crash faults per role, across f in {1, 2} and the four workload conflict
 rates. Every history must pass the checker. Exits 1 on the first violation.
 
+The long tier (--long N) runs N seeds of the same faults at 10 000 commands
+each, alternating exact and compact deps and conflict rates 0.02 and 0.1;
+it takes tens of seconds per seed.
+
 Usage: python scripts/safety_fuzz.py [num_seeds]
+       python scripts/safety_fuzz.py --long N
 """
 
+import argparse
 import sys
 import time
 from pathlib import Path
@@ -14,27 +20,45 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "tests"))
 
-from fuzz_helpers import fuzz_config
+from fuzz_helpers import fuzz_config, long_fuzz_config
 from graphsmr.harness import check_history, run_simulation
 
 CONFLICT_RATES = (0.0, 0.02, 0.1, 1.0)
 
 
+def short_scenario(seed: int):
+    f = 1 if seed % 2 == 0 else 2
+    return fuzz_config(seed, f, CONFLICT_RATES[seed % len(CONFLICT_RATES)])
+
+
 def main():
-    seeds = int(sys.argv[1]) if len(sys.argv) > 1 else 1000
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("num_seeds", nargs="?", type=int, default=1000)
+    parser.add_argument("--long", type=int, metavar="N",
+                        help="run N seeds of the 10 000-command tier instead")
+    args = parser.parse_args()
+    long_tier = args.long is not None
+    seeds = args.long if long_tier else args.num_seeds
+    scenario = long_fuzz_config if long_tier else short_scenario
     t0 = time.time()
     completed = 0
     for seed in range(seeds):
-        f = 1 if seed % 2 == 0 else 2
-        rate = CONFLICT_RATES[seed % len(CONFLICT_RATES)]
-        config, workload, faults = fuzz_config(seed, f, rate)
+        config, workload, faults = scenario(seed)
+        t_sim = time.time()
         result = run_simulation(config, workload, faults)
+        t_check = time.time()
         verdict = check_history(result.history)
         if not verdict.ok:
             print(f"seed {seed}: VIOLATION\n{verdict}")
             return 1
         completed += result.completed
-        if (seed + 1) % 200 == 0:
+        if long_tier:
+            deps = "compact" if config.compact_deps else "exact"
+            print(f"  seed {seed}: {deps} deps, f={config.f}, "
+                  f"{len(result.history)} records, sim {t_check - t_sim:.1f}s, "
+                  f"check {time.time() - t_check:.2f}s"
+                  f"{'' if result.completed else ', not completed'}", flush=True)
+        elif (seed + 1) % 200 == 0:
             print(f"  {seed + 1}/{seeds} seeds checked "
                   f"({time.time() - t0:.1f}s, {completed} completed)")
     print(f"ok: {seeds} seeded runs clean in {time.time() - t0:.1f}s "

@@ -7,9 +7,8 @@ between logical threads and used as dict keys.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Union
 
 _FNV64_OFFSET = 0xCBF29CE484222325
 _FNV64_PRIME = 0x100000001B3
@@ -24,14 +23,14 @@ def fnv1a64(data: bytes) -> int:
     return h
 
 
-@functools.total_ordering
-@dataclass(frozen=True)
-class VertexId:
+class VertexId(NamedTuple):
     """Globally unique vertex identifier: (issuing leader, per-leader sequence).
 
     Ordered lexicographically on (seq, leader_index) so that leaders
     interleave fairly when a cycle batch is flattened; any deterministic
     total order would do, but it must be identical on every replica.
+    A tuple underneath, so hashing and equality run natively; the hash is
+    hash((leader_index, seq)).
     """
 
     leader_index: int
@@ -41,7 +40,16 @@ class VertexId:
         return (self.seq, self.leader_index)
 
     def __lt__(self, other: "VertexId") -> bool:
-        return self.sort_key() < other.sort_key()
+        return (self.seq, self.leader_index) < (other.seq, other.leader_index)
+
+    def __le__(self, other: "VertexId") -> bool:
+        return (self.seq, self.leader_index) <= (other.seq, other.leader_index)
+
+    def __gt__(self, other: "VertexId") -> bool:
+        return (self.seq, self.leader_index) > (other.seq, other.leader_index)
+
+    def __ge__(self, other: "VertexId") -> bool:
+        return (self.seq, self.leader_index) >= (other.seq, other.leader_index)
 
     def encode(self) -> bytes:
         """Canonical 8-byte encoding: two unsigned 32-bit big-endian ints."""

@@ -8,11 +8,13 @@ judge histories produced by mutated (deliberately broken) deployments.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Optional
+from itertools import combinations
+from typing import Iterator, Optional
 
 from ..consensus import ChosenEvent
-from ..core import Get, Payload, Proposal, VertexId, footprint
+from ..core import Get, Proposal, VertexId, footprint
 from ..replica import CommitSeen, ExecEvent, RespondEvent
 
 Record = tuple[float, int, object]
@@ -63,25 +65,64 @@ def export_history(records: list[Record]) -> str:
     return "\n".join(f"{t:.6f}\t{n}\t{ev!r}" for t, n, ev in records) + "\n"
 
 
-def _payload_conflict_pairs(payloads: dict[VertexId, Payload]) -> set[frozenset]:
-    """All unordered vertex pairs whose payloads conflict, via a per-key
-    index so non-conflicting workloads stay cheap."""
-    readers: dict[bytes, list[VertexId]] = {}
-    writers: dict[bytes, list[VertexId]] = {}
-    for v, payload in payloads.items():
-        for key, is_write in footprint(payload):
-            (writers if is_write else readers).setdefault(key, []).append(v)
+def _key_index(
+    proposals: dict[VertexId, Proposal],
+) -> dict[bytes, tuple[list[VertexId], list[VertexId]]]:
+    """key -> (writers, readers that do not also write it), each vertex listed
+    once and in vertex order. Keys nobody writes conflict on nothing and are
+    left out."""
+    index: dict[bytes, tuple[list[VertexId], list[VertexId]]] = {}
+    for v in sorted(proposals, key=VertexId.sort_key):
+        writes: dict[bytes, bool] = {}
+        for key, is_write in footprint(proposals[v].cmd):
+            writes[key] = writes.get(key, False) or is_write
+        for key, is_write in writes.items():
+            index.setdefault(key, ([], []))[0 if is_write else 1].append(v)
+    return {key: lists for key, lists in index.items() if lists[0]}
 
-    pairs: set[frozenset] = set()
-    for key, ws in writers.items():
-        for i, a in enumerate(ws):
-            for b in ws[i + 1 :]:
-                if a != b:
-                    pairs.add(frozenset((a, b)))
-            for b in readers.get(key, ()):
-                if a != b:
-                    pairs.add(frozenset((a, b)))
-    return pairs
+
+def _conflicting_pairs(
+    writers: list[VertexId], readers: list[VertexId]
+) -> Iterator[tuple[VertexId, VertexId]]:
+    """Every conflicting pair on one key as (earlier, later): each writer
+    with every earlier writer and with every reader."""
+    for i, w in enumerate(writers):
+        split = bisect_left(readers, w)
+        for a in writers[:i]:
+            yield a, w
+        for a in readers[:split]:
+            yield a, w
+        for b in readers[split:]:
+            yield w, b
+
+
+def _order_inversion(
+    writers: list[VertexId],
+    readers: list[VertexId],
+    pos1: dict[VertexId, int],
+    pos2: dict[VertexId, int],
+) -> Optional[tuple[VertexId, VertexId]]:
+    """Two vertices conflicting on one key that two replicas executed in
+    opposite orders, or None. pos1 and pos2 map each vertex a replica applied
+    to its (unique) execution position; only vertices both applied count.
+
+    The writers, sorted by position at the first replica, must also increase
+    at the second. Then each reader must have the same rank among the
+    writers at both, found by bisecting each replica's writer positions."""
+    common = [w for w in writers if w in pos1 and w in pos2]
+    common.sort(key=pos1.__getitem__)
+    at1 = [pos1[w] for w in common]
+    at2 = [pos2[w] for w in common]
+    for i in range(1, len(common)):
+        if at2[i - 1] > at2[i]:
+            return common[i - 1], common[i]
+    for r in readers:
+        if r in pos1 and r in pos2:
+            rank1 = bisect_left(at1, pos1[r])
+            rank2 = bisect_left(at2, pos2[r])
+            if rank1 != rank2:
+                return r, common[min(rank1, rank2)]
+    return None
 
 
 def check_history(records: list[Record]) -> Verdict:
@@ -119,53 +160,55 @@ def check_history(records: list[Record]) -> Verdict:
                 )
                 break
 
-    # (c) dependency invariant over committed proposals
-    payloads = {v: p.cmd for v, p in proposals.items()}
-    conflict_pairs = _payload_conflict_pairs(payloads)
-    for pair in conflict_pairs:
-        a, b = tuple(pair)
-        if a not in proposals[b].deps and b not in proposals[a].deps:
-            violations.append(
-                Violation(
-                    "dependency-invariant",
-                    f"conflicting vertices {a} and {b} have no edge",
-                    [commit_records[a][0], commit_records[b][0]],
+    # (c) dependency invariant: every conflicting pair has an edge. The later
+    # vertex's deps are probed first; a pair that conflicts on several keys
+    # is reported once
+    index = _key_index(proposals)
+    unlinked: set[tuple[VertexId, VertexId]] = set()
+    for key in sorted(index):
+        for a, b in _conflicting_pairs(*index[key]):
+            if (
+                a not in proposals[b].deps
+                and b not in proposals[a].deps
+                and (a, b) not in unlinked
+            ):
+                unlinked.add((a, b))
+                violations.append(
+                    Violation(
+                        "dependency-invariant",
+                        f"conflicting vertices {a} and {b} have no edge",
+                        [commit_records[a][0], commit_records[b][0]],
+                    )
                 )
-            )
 
-    # (b) conflicting-order agreement between replicas
-    positions: dict[str, dict[VertexId, tuple[int, Record]]] = {}
+    # (b) conflicting-order agreement between replicas, key by key, over the
+    # vertices both replicas applied
+    positions: dict[str, dict[VertexId, int]] = {}
+    applied: dict[str, dict[VertexId, Record]] = {}
     for replica, recs in execs.items():
-        pos: dict[VertexId, tuple[int, Record]] = {}
+        pos = positions[replica] = {}
+        rec_at = applied[replica] = {}
         for rec in recs:
             ev = rec[2]
             if ev.applied and ev.v not in pos:
-                pos[ev.v] = (ev.position, rec)
-        positions[replica] = pos
-    replica_names = sorted(positions)
-    for i, r1 in enumerate(replica_names):
-        for r2 in replica_names[i + 1 :]:
-            common = positions[r1].keys() & positions[r2].keys()
-            for pair in conflict_pairs:
-                a, b = tuple(pair)
-                if a not in common or b not in common:
-                    continue
-                o1 = positions[r1][a][0] < positions[r1][b][0]
-                o2 = positions[r2][a][0] < positions[r2][b][0]
-                if o1 != o2:
-                    violations.append(
-                        Violation(
-                            "conflicting-order",
-                            f"{r1} and {r2} executed conflicting {a}, {b} in "
-                            "opposite orders",
-                            [
-                                positions[r1][a][1],
-                                positions[r1][b][1],
-                                positions[r2][a][1],
-                                positions[r2][b][1],
-                            ],
-                        )
-                    )
+                pos[ev.v] = ev.position
+                rec_at[ev.v] = rec
+    replica_pairs = list(combinations(sorted(positions), 2))
+    for key in sorted(index):
+        writers, readers = index[key]
+        for r1, r2 in replica_pairs:
+            inverted = _order_inversion(writers, readers, positions[r1], positions[r2])
+            if inverted is None:
+                continue
+            a, b = inverted
+            violations.append(
+                Violation(
+                    "conflicting-order",
+                    f"{r1} and {r2} executed conflicting {a}, {b} in "
+                    "opposite orders",
+                    [applied[r1][a], applied[r1][b], applied[r2][a], applied[r2][b]],
+                )
+            )
 
     # (b') replicas that executed the same vertex set must replay to the
     # same kv state

@@ -6,9 +6,11 @@ from __future__ import annotations
 
 import random
 
-from graphsmr.core import Get, Op, Set
+from graphsmr.consensus import ChosenEvent
+from graphsmr.core import Get, Op, Set, footprint
 from graphsmr.harness import Crash, SimConfig, Timeouts
 from graphsmr.harness.mutations import Mutations
+from graphsmr.replica import CommitSeen, ExecEvent
 
 HOT = b"hotkey!!"
 
@@ -48,26 +50,54 @@ def crash_schedule_per_role(
     return faults
 
 
-def fuzz_config(seed: int, f: int, conflict_rate: float) -> tuple[SimConfig, list, list[Crash]]:
-    """One safety-fuzz scenario: random drops (<= 0.2), duplication (<= 0.1),
-    delay jitter, and up to f crash faults per role."""
-    rng = random.Random(f"fuzz/{seed}")
+def _lossy_config(rng: random.Random, seed: int, f: int) -> SimConfig:
+    """The fuzz network: f+1 to f+3 leaders, f+1 replicas, delays from 1 ms
+    up to at most 10 ms, drops <= 0.2 and duplication <= 0.1 per message."""
     leaders = rng.randint(f + 1, f + 3)
-    replicas = f + 1
-    config = SimConfig(
+    return SimConfig(
         seed=seed,
         f=f,
         leaders=leaders,
-        replicas=replicas,
+        replicas=f + 1,
         min_delay_ms=1.0,
         max_delay_ms=rng.uniform(1.0, 10.0),
         drop_prob=rng.uniform(0.0, 0.2),
         dup_prob=rng.uniform(0.0, 0.1),
-        compact_deps=rng.random() < 0.4,
         max_sim_ms=60_000.0,
     )
+
+
+def fuzz_config(seed: int, f: int, conflict_rate: float) -> tuple[SimConfig, list, list[Crash]]:
+    """One safety-fuzz scenario: random drops (<= 0.2), duplication (<= 0.1),
+    delay jitter, and up to f crash faults per role."""
+    rng = random.Random(f"fuzz/{seed}")
+    config = _lossy_config(rng, seed, f)
+    config.compact_deps = rng.random() < 0.4
     workload = random_workload(rng, rng.randint(2, 4), rng.randint(2, 5), conflict_rate)
-    faults = crash_schedule_per_role(rng, f, leaders, replicas, 250.0)
+    faults = crash_schedule_per_role(rng, f, config.leaders, config.replicas, 250.0)
+    return config, workload, faults
+
+
+LONG_CLIENTS, LONG_COMMANDS = 20, 500
+# crashes land in the first two simulated minutes; a 10k-command run lasts
+# from about 20 s to 8 min of simulated time, and a run stalled by more
+# than f crashes in total stops at the cap
+LONG_CRASH_HORIZON_MS = 120_000.0
+LONG_MAX_SIM_MS = 600_000.0
+
+
+def long_fuzz_config(seed: int) -> tuple[SimConfig, list, list[Crash]]:
+    """One long-tier scenario: fuzz_config's network and crash ranges over
+    LONG_CLIENTS x LONG_COMMANDS commands. Consecutive seeds alternate exact
+    and compact deps, then conflict rate 0.02 and 0.1, then f = 1 and 2."""
+    f = 1 + seed // 4 % 2
+    rng = random.Random(f"long/{seed}")
+    config = _lossy_config(rng, seed, f)
+    config.compact_deps = seed % 2 == 1
+    config.max_sim_ms = LONG_MAX_SIM_MS
+    rate = (0.02, 0.1)[seed // 2 % 2]
+    workload = random_workload(rng, LONG_CLIENTS, LONG_COMMANDS, rate)
+    faults = crash_schedule_per_role(rng, f, config.leaders, config.replicas, LONG_CRASH_HORIZON_MS)
     return config, workload, faults
 
 
@@ -104,3 +134,56 @@ def mutation_config(name: str, seed: int, mutations: Mutations):
     )
     workload = random_workload(rng, p["clients"], p["commands"], p["conflict_rate"])
     return config, workload
+
+
+def pairwise_conflict_violations(records) -> list[tuple[str, frozenset]]:
+    """Reference for check_history's dependency-invariant and
+    conflicting-order checks, as (kind, {a, b}): materialise every
+    conflicting vertex pair, probe each pair's deps, and walk every pair
+    again for each pair of replicas. Quadratic in the conflicting history."""
+    proposals = {}
+    execs: dict[str, list] = {}
+    for rec in records:
+        ev = rec[2]
+        if isinstance(ev, (CommitSeen, ChosenEvent)):
+            proposals.setdefault(ev.v, ev.proposal)
+        elif isinstance(ev, ExecEvent):
+            execs.setdefault(ev.replica, []).append(ev)
+
+    readers: dict[bytes, list] = {}
+    writers: dict[bytes, list] = {}
+    for v, p in proposals.items():
+        for key, is_write in footprint(p.cmd):
+            (writers if is_write else readers).setdefault(key, []).append(v)
+    pairs: set[frozenset] = set()
+    for key, ws in writers.items():
+        for i, a in enumerate(ws):
+            for b in ws[i + 1 :]:
+                if a != b:
+                    pairs.add(frozenset((a, b)))
+            for b in readers.get(key, ()):
+                if a != b:
+                    pairs.add(frozenset((a, b)))
+
+    found = []
+    for pair in pairs:
+        a, b = tuple(pair)
+        if a not in proposals[b].deps and b not in proposals[a].deps:
+            found.append(("dependency-invariant", pair))
+    positions = {}
+    for replica, evs in execs.items():
+        pos: dict = {}
+        for ev in evs:
+            if ev.applied and ev.v not in pos:
+                pos[ev.v] = ev.position
+        positions[replica] = pos
+    names = sorted(positions)
+    for i, r1 in enumerate(names):
+        for r2 in names[i + 1 :]:
+            p1, p2 = positions[r1], positions[r2]
+            for pair in pairs:
+                a, b = tuple(pair)
+                if a in p1 and b in p1 and a in p2 and b in p2:
+                    if (p1[a] < p1[b]) != (p2[a] < p2[b]):
+                        found.append(("conflicting-order", pair))
+    return found

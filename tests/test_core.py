@@ -79,6 +79,26 @@ class TestVertexOrder:
             assert a < c
 
 
+class TestVertexIdIsATuple:
+    # set iteration order, export_history text and wire traces depend on
+    # the hash and the repr staying those of the former frozen dataclass
+    def test_hash_equality_and_repr(self):
+        v = VertexId(2, 5)
+        assert hash(v) == hash((2, 5))
+        assert v == VertexId(leader_index=2, seq=5)
+        assert v != VertexId(5, 2)
+        assert repr(v) == "VertexId(leader_index=2, seq=5)"
+
+    @given(vertex_ids, vertex_ids)
+    def test_order_is_seq_then_leader(self, a, b):
+        ka, kb = (a.seq, a.leader_index), (b.seq, b.leader_index)
+        assert a.sort_key() == ka
+        assert (a < b) == (ka < kb)
+        assert (a <= b) == (ka <= kb)
+        assert (a > b) == (ka > kb)
+        assert (a >= b) == (ka >= kb)
+
+
 class TestDeps:
     def test_exact_expand_identity(self):
         d = ExactDeps(frozenset({VertexId(0, 0)}))

@@ -1,10 +1,15 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from fuzz_helpers import fuzz_config, mutation_config, random_workload
-from graphsmr.core import Get, NOOP, Proposal, Set, VertexId, CompactDeps, ExactDeps, EMPTY_DEPS, Command
+from fuzz_helpers import fuzz_config, mutation_config, pairwise_conflict_violations, random_workload
+from graphsmr.core import (
+    Batch, Get, NOOP, NOOP_PROPOSAL, Proposal, Set, VertexId, CompactDeps, ExactDeps,
+    EMPTY_DEPS, Command, conflicts,
+)
 from graphsmr.harness import (
     ALL_MUTATIONS,
     ConfigError,
@@ -251,6 +256,57 @@ class TestCheckerOnSyntheticHistories:
         verdict = check_history(records)
         assert any(v.kind == "conflicting-order" for v in verdict.violations)
 
+    def test_read_on_opposite_sides_of_write_is_conflicting_order(self):
+        read = Command("ca", 1, Get(b"k"))
+        p1 = Proposal(read, ExactDeps(frozenset({self.V2})))
+        p2 = Proposal(self.W2, ExactDeps(frozenset({self.V1})))
+        records = [
+            self._rec(0, CommitSeen("rep-0", self.V1, p1)),
+            self._rec(1, CommitSeen("rep-0", self.V2, p2)),
+            self._rec(2, ExecEvent("rep-0", self.V1, "ca", 1, read.op, True, None, 0)),
+            self._rec(3, ExecEvent("rep-0", self.V2, "cb", 1, self.W2.op, True, b"OK", 1)),
+            self._rec(4, ExecEvent("rep-1", self.V2, "cb", 1, self.W2.op, True, b"OK", 0)),
+            self._rec(5, ExecEvent("rep-1", self.V1, "ca", 1, read.op, True, b"2", 1)),
+        ]
+        verdict = check_history(records)
+        assert [v.kind for v in verdict.violations] == ["conflicting-order"]
+        assert [rec[0] for rec in verdict.violations[0].events] == [2.0, 3.0, 5.0, 4.0]
+
+    def test_pair_conflicting_on_two_keys_reported_once(self):
+        b1 = Batch((Command("ca", 1, Set(b"a", b"1")), Command("ca", 2, Set(b"b", b"1"))))
+        b2 = Batch((Command("cb", 1, Set(b"a", b"2")), Command("cb", 2, Get(b"b"))))
+        records = [
+            self._rec(0, CommitSeen("rep-0", self.V1, Proposal(b1, EMPTY_DEPS))),
+            self._rec(1, CommitSeen("rep-0", self.V2, Proposal(b2, EMPTY_DEPS))),
+        ]
+        verdict = check_history(records)
+        assert [v.kind for v in verdict.violations] == ["dependency-invariant"]
+
+    def test_replicas_compared_on_vertices_both_applied(self):
+        # rep-0 never applies the read and rep-1 never applies the first
+        # write; on the vertices they share, the order agrees
+        v1, v2, v3, v4 = (VertexId(0, 0), VertexId(1, 0), VertexId(0, 1), VertexId(1, 1))
+        cmds = {
+            v1: Command("ca", 1, Set(b"k", b"1")),
+            v2: Command("cb", 1, Set(b"k", b"2")),
+            v3: Command("cc", 1, Set(b"k", b"3")),
+            v4: Command("cd", 1, Get(b"k")),
+        }
+        records = [
+            self._rec(i, CommitSeen("rep-0", v, Proposal(c, ExactDeps(frozenset(cmds) - {v}))))
+            for i, (v, c) in enumerate(cmds.items())
+        ]
+
+        def run(replica, order, start):
+            return [
+                self._rec(start + i, ExecEvent(replica, v, None, None, None, applied, None, i))
+                for i, (v, applied) in enumerate(order)
+            ]
+
+        records += run("rep-0", [(v1, True), (v2, True), (v3, True), (v4, False)], 4)
+        records += run("rep-1", [(v4, True), (v2, True), (v3, True)], 8)
+        assert check_history(records).ok
+
     def test_exactly_once_violation(self):
         records = [
             self._rec(0, ExecEvent("rep-0", self.V1, "ca", 1, self.W1.op, True, b"OK", 0)),
@@ -284,6 +340,74 @@ class TestCheckerOnSyntheticHistories:
         ]
         verdict = check_history(records)
         assert any(v.kind == "replayed-state-divergence" for v in verdict.violations)
+
+
+KEYS = (b"a", b"b", b"c")
+
+
+@st.composite
+def conflicting_histories(draw):
+    """Commit and execution records over one to three keys: batches that may
+    read and write one key, exact or compact deps with some conflicting
+    edges dropped, and two or three replicas that each apply a perturbed
+    vertex order with some vertices left out or skipped."""
+    keys = KEYS[: draw(st.integers(1, 3))]
+    op = st.one_of(
+        st.builds(Get, st.sampled_from(keys)),
+        st.builds(Set, st.sampled_from(keys), st.just(b"v")),
+    )
+    ids = sorted(draw(st.lists(
+        st.builds(VertexId, st.integers(0, 2), st.integers(0, 3)),
+        min_size=2, max_size=8, unique=True,
+    )))
+    cmds = {}
+    for v in ids:
+        ops = draw(st.lists(op, max_size=3))
+        cmds[v] = Batch(tuple(Command("c", i, o) for i, o in enumerate(ops))) if ops else NOOP
+    compact = draw(st.booleans())
+    records = []
+    for v in ids:
+        if cmds[v] == NOOP:
+            proposal = NOOP_PROPOSAL
+        else:
+            # every conflicting vertex, less about one edge in four
+            deps = [
+                u for u in ids
+                if u != v and conflicts(cmds[u], cmds[v]) and draw(st.integers(0, 3)) > 0
+            ]
+            proposal = Proposal(
+                cmds[v],
+                CompactDeps.covering(deps, 3) if compact else ExactDeps(frozenset(deps)),
+            )
+        records.append((0.0, len(records), CommitSeen("rep-0", v, proposal)))
+    for r in range(draw(st.integers(2, 3))):
+        order = list(ids)
+        for _ in range(draw(st.integers(0, 3))):
+            i = draw(st.integers(0, len(order) - 2))
+            order[i], order[i + 1] = order[i + 1], order[i]
+        position = 0
+        for v in order:
+            fate = draw(st.sampled_from(("applied", "applied", "applied", "skipped", "missing")))
+            if fate != "missing":
+                ev = ExecEvent(f"rep-{r}", v, None, None, None, fate == "applied", None, position)
+                records.append((1.0, len(records), ev))
+                position += 1
+    return records
+
+
+@settings(max_examples=400, deadline=None)
+@given(conflicting_histories())
+def test_checker_agrees_with_pairwise_oracle(records):
+    expected = pairwise_conflict_violations(records)
+    verdict = check_history(records)
+    assert verdict.ok == (not expected)
+    assert {v.kind for v in verdict.violations} == {kind for kind, _ in expected}
+    unlinked = Counter(
+        frozenset(rec[2].v for rec in v.events)
+        for v in verdict.violations
+        if v.kind == "dependency-invariant"
+    )
+    assert unlinked == Counter(pair for kind, pair in expected if kind == "dependency-invariant")
 
 
 class TestMutationDetection:
