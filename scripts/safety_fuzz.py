@@ -4,8 +4,8 @@ crash faults per role, across f in {1, 2} and the four workload conflict
 rates. Every history must pass the checker. Exits 1 on the first violation.
 
 The long tier (--long N) runs N seeds of the same faults at 10 000 commands
-each, alternating exact and compact deps and conflict rates 0.02 and 0.1;
-it takes tens of seconds per seed.
+each, cycling through exact and compact deps at conflict rates 0.02 and 0.1
+and compact deps at 1.0; it takes tens of seconds per seed.
 
 Usage: python scripts/safety_fuzz.py [num_seeds]
        python scripts/safety_fuzz.py --long N

@@ -8,7 +8,7 @@ between logical threads and used as dict keys.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, NamedTuple, Optional, Union
+from typing import Iterable, Iterator, Mapping, NamedTuple, Optional, Union
 
 _FNV64_OFFSET = 0xCBF29CE484222325
 _FNV64_PRIME = 0x100000001B3
@@ -120,15 +120,21 @@ def footprint(x: Payload) -> Iterator[tuple[bytes, bool]]:
             yield from footprint(cmd)
 
 
+def key_access(x: Payload) -> dict[bytes, bool]:
+    """Each key a payload touches, once, mapped to whether it writes it."""
+    access: dict[bytes, bool] = {}
+    for key, is_write in footprint(x):
+        access[key] = access.get(key, False) or is_write
+    return access
+
+
 def conflicts(x: Payload, y: Payload) -> bool:
     """True iff x and y touch a common key and at least one side writes it.
 
     Symmetric; Noop never conflicts, two reads never conflict. Batches
     conflict when any member pair does.
     """
-    seen: dict[bytes, bool] = {}
-    for key, is_write in footprint(x):
-        seen[key] = seen.get(key, False) or is_write
+    seen = key_access(x)
     for key, is_write in footprint(y):
         if key in seen and (is_write or seen[key]):
             return True
@@ -136,7 +142,10 @@ def conflicts(x: Payload, y: Payload) -> bool:
 
 
 # Both dependency-set formats answer `v in deps` in O(1), iterate over the
-# covered vertex ids, have a `len` (and so emptiness) and a `union`. Only
+# covered vertex ids, have a `len` (and so emptiness) and a `union`.
+# deps.above(low) yields every covered (i, s) with s > low.get(i, -1), and
+# may yield covered vertices below that too: a compact set walks only the
+# range above each watermark, an exact set yields all its vertices. Only
 # expand() builds a set; it is meant for tests and offline measurement.
 
 
@@ -154,6 +163,9 @@ class ExactDeps:
 
     def __len__(self) -> int:
         return len(self.vertices)
+
+    def above(self, low: Mapping[int, int]) -> Iterable[VertexId]:
+        return self.vertices
 
     def expand(self) -> frozenset[VertexId]:
         return self.vertices
@@ -192,9 +204,14 @@ class CompactDeps:
         return w is not None and v.seq <= w
 
     def __iter__(self) -> Iterator[VertexId]:
+        return self.above({})
+
+    def above(self, low: Mapping[int, int]) -> Iterator[VertexId]:
+        """Exactly the covered (i, s) with s > low.get(i, -1): one range per
+        leader, as long as the gap between the two watermarks."""
         for i, w in enumerate(self.watermarks):
             if w is not None:
-                for k in range(w + 1):
+                for k in range(low.get(i, -1) + 1, w + 1):
                     yield VertexId(i, k)
 
     def __len__(self) -> int:
@@ -249,12 +266,18 @@ class CommitGraph:
     the deps a committed but unexecuted vertex v may still wait on: those
     not executed when v was added, never v itself (compact deps can cover
     it). Callers may prune it in place as deps execute.
+
+    low[i] is leader i's executed low watermark: every (i, s) with s <=
+    low[i] has executed. Leaders number their vertices contiguously, so it
+    trails the highest executed seq only by the out-of-order gap, and add()
+    walks a compact set from there instead of from seq 0.
     """
 
     def __init__(self) -> None:
         self.committed: dict[VertexId, Proposal] = {}
         self.executed: set[VertexId] = set()
         self.waiting: dict[VertexId, list[VertexId]] = {}
+        self.low: dict[int, int] = {}
 
     def add(self, v: VertexId, p: Proposal) -> bool:
         """Record a committed vertex. Returns False on duplicate delivery."""
@@ -264,10 +287,18 @@ class CommitGraph:
                 raise AgreementViolation(f"vertex {v}: {existing} vs {p}")
             return False
         self.committed[v] = p
-        deps = (dep for dep in p.deps if dep not in self.executed and dep != v)
+        deps = (
+            dep for dep in p.deps.above(self.low) if dep not in self.executed and dep != v
+        )
         self.waiting[v] = sorted(deps, key=VertexId.sort_key)
         return True
 
     def mark_executed(self, v: VertexId) -> None:
         del self.waiting[v]
         self.executed.add(v)
+        i = v.leader_index
+        if v.seq == self.low.get(i, -1) + 1:
+            w = v.seq
+            while VertexId(i, w + 1) in self.executed:
+                w += 1
+            self.low[i] = w

@@ -8,13 +8,14 @@ judge histories produced by mutated (deliberately broken) deployments.
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import combinations
-from typing import Iterator, Optional
+from itertools import chain, combinations
+from math import inf
+from typing import Iterable, Iterator, Optional
 
 from ..consensus import ChosenEvent
-from ..core import Get, Proposal, VertexId, footprint
+from ..core import CompactDeps, Get, Proposal, VertexId, footprint
 from ..replica import CommitSeen, ExecEvent, RespondEvent
 
 Record = tuple[float, int, object]
@@ -96,6 +97,62 @@ def _conflicting_pairs(
             yield w, b
 
 
+def _compact_unlinked(
+    writers: list[VertexId],
+    readers: list[VertexId],
+    proposals: dict[VertexId, Proposal],
+) -> list[tuple[VertexId, VertexId]]:
+    """The unlinked conflicting pairs on one key whose vertices all carry
+    compact deps, as (earlier, later) pairs in vertex order.
+
+    With watermarks, a is outside b's deps iff a.seq > cover[b][a.leader]
+    (a missing or None watermark counts as -1). So for a writer b and a
+    leader i, the vertices b leaves out are a suffix of the key's leader-i
+    writers, and of its leader-i readers, in seq order, found by bisection.
+    A suffix minimum of cover[a][b.leader] over that list says in O(1)
+    whether the suffix holds an a that leaves b out as well. A pair of
+    writers of one leader is looked for from the earlier one only, so b
+    never meets itself. Cost: O(n * L * log n) for n vertices and L
+    leaders, plus a walk of each suffix that holds an unlinked partner."""
+    vertices = list(chain(writers, readers))
+    nl = 1 + max(v.leader_index for v in vertices)
+    cover: dict[VertexId, list[int]] = {}
+    for v in vertices:
+        marks = proposals[v].deps.watermarks[:nl]
+        cover[v] = [-1 if w is None else w for w in marks] + [-1] * (nl - len(marks))
+
+    def by_leader(members: Iterable[VertexId]):
+        """leader -> (seqs, vertices, suffix minima per target leader)."""
+        groups: dict[int, tuple[list[int], list[VertexId], list[list[float]]]] = {}
+        for v in members:
+            group = groups.setdefault(v.leader_index, ([], [], []))
+            group[0].append(v.seq)
+            group[1].append(v)
+        for _, group, minima in groups.values():
+            for j in range(nl):
+                low: list[float] = [inf] * (len(group) + 1)
+                for p in range(len(group) - 1, -1, -1):
+                    low[p] = min(low[p + 1], cover[group[p]][j])
+                minima.append(low)
+        return groups
+
+    writer_groups, reader_groups = by_leader(writers), by_leader(readers)
+    pairs: set[tuple[VertexId, VertexId]] = set()
+    for j, (_, own, _) in writer_groups.items():
+        for pos, b in enumerate(own):
+            s, marks = b.seq, cover[b]
+            for groups in (writer_groups, reader_groups):
+                for i, (seqs, group, minima) in groups.items():
+                    start = bisect_right(seqs, marks[i])
+                    if group is own:
+                        start = max(start, pos + 1)
+                    if minima[j][start] < s:
+                        for a in group[start:]:
+                            if cover[a][j] < s:
+                                pairs.add((a, b) if a < b else (b, a))
+    return sorted(pairs)
+
+
 def _order_inversion(
     writers: list[VertexId],
     readers: list[VertexId],
@@ -160,18 +217,25 @@ def check_history(records: list[Record]) -> Verdict:
                 )
                 break
 
-    # (c) dependency invariant: every conflicting pair has an edge. The later
-    # vertex's deps are probed first; a pair that conflicts on several keys
-    # is reported once
+    # (c) dependency invariant: every conflicting pair has an edge. A key
+    # whose vertices all carry compact deps is checked per leader; otherwise
+    # every pair is probed, the later vertex's deps first. A pair that
+    # conflicts on several keys is reported once
     index = _key_index(proposals)
     unlinked: set[tuple[VertexId, VertexId]] = set()
     for key in sorted(index):
-        for a, b in _conflicting_pairs(*index[key]):
-            if (
-                a not in proposals[b].deps
-                and b not in proposals[a].deps
-                and (a, b) not in unlinked
-            ):
+        writers, readers = index[key]
+        found: Iterable[tuple[VertexId, VertexId]]
+        if all(isinstance(proposals[v].deps, CompactDeps) for v in chain(writers, readers)):
+            found = _compact_unlinked(writers, readers, proposals)
+        else:
+            found = (
+                (a, b)
+                for a, b in _conflicting_pairs(writers, readers)
+                if a not in proposals[b].deps and b not in proposals[a].deps
+            )
+        for a, b in found:
+            if (a, b) not in unlinked:
                 unlinked.add((a, b))
                 violations.append(
                     Violation(

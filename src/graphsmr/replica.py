@@ -228,11 +228,12 @@ class Replica:
             cmds = proposal.cmd.commands
         else:
             cmds = (proposal.cmd,)
+        owns = v.owner_replica(self.num_replicas) == self.index
         for cmd in cmds:
-            out.extend(self._apply_one(v, cmd))
+            out.extend(self._apply_one(v, cmd, owns))
         return out
 
-    def _apply_one(self, v: VertexId, cmd: Union[Command, Noop]) -> list[Effect]:
+    def _apply_one(self, v: VertexId, cmd: Union[Command, Noop], owns: bool) -> list[Effect]:
         position = self.exec_position
         self.exec_position += 1
         if isinstance(cmd, Noop):
@@ -255,7 +256,7 @@ class Replica:
                     )
                 )
             )
-            out.extend(self._respond(v, cmd, available, output))
+            out.extend(self._respond(v, cmd, available, output, owns))
             return out
 
         output = self.apply_command(cmd)
@@ -268,7 +269,7 @@ class Replica:
                 )
             )
         )
-        out.extend(self._respond(v, cmd, True, output))
+        out.extend(self._respond(v, cmd, True, output, owns))
         return out
 
     def apply_command(self, cmd: Command) -> Optional[bytes]:
@@ -278,9 +279,15 @@ class Replica:
         return SET_ACK
 
     def _respond(
-        self, v: VertexId, cmd: Command, available: bool, output: Optional[bytes]
+        self,
+        v: VertexId,
+        cmd: Command,
+        available: bool,
+        output: Optional[bytes],
+        owns: bool,
     ) -> list[Effect]:
-        if v.owner_replica(self.num_replicas) != self.index:
+        """The answer to the client, from the replica that owns v only."""
+        if not owns:
             return []
         return [
             Note(

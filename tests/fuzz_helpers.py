@@ -84,18 +84,22 @@ LONG_CLIENTS, LONG_COMMANDS = 20, 500
 # than f crashes in total stops at the cap
 LONG_CRASH_HORIZON_MS = 120_000.0
 LONG_MAX_SIM_MS = 600_000.0
+# (compact deps, conflict rate) of consecutive long-tier seeds. Exact deps
+# stay off the all-conflict rate: each vertex's deps would list the whole
+# history before it
+LONG_KINDS = ((False, 0.02), (True, 0.02), (False, 0.1), (True, 0.1), (True, 1.0))
 
 
 def long_fuzz_config(seed: int) -> tuple[SimConfig, list, list[Crash]]:
     """One long-tier scenario: fuzz_config's network and crash ranges over
-    LONG_CLIENTS x LONG_COMMANDS commands. Consecutive seeds alternate exact
-    and compact deps, then conflict rate 0.02 and 0.1, then f = 1 and 2."""
-    f = 1 + seed // 4 % 2
+    LONG_CLIENTS x LONG_COMMANDS commands. Consecutive seeds cycle through
+    LONG_KINDS, and f alternates between 1 and 2 from one cycle to the
+    next."""
+    f = 1 + seed // len(LONG_KINDS) % 2
     rng = random.Random(f"long/{seed}")
     config = _lossy_config(rng, seed, f)
-    config.compact_deps = seed % 2 == 1
+    config.compact_deps, rate = LONG_KINDS[seed % len(LONG_KINDS)]
     config.max_sim_ms = LONG_MAX_SIM_MS
-    rate = (0.02, 0.1)[seed // 2 % 2]
     workload = random_workload(rng, LONG_CLIENTS, LONG_COMMANDS, rate)
     faults = crash_schedule_per_role(rng, f, config.leaders, config.replicas, LONG_CRASH_HORIZON_MS)
     return config, workload, faults

@@ -1,0 +1,101 @@
+"""Growth guards: with compact deps, the work per unit in the dependency
+node, the replica's commit path and the checker must not grow with the
+history. Each guard counts work, not time, by wrapping a method for the
+length of one run, and compares a 200-command run with a 3200-command run
+of the same all-conflict workload."""
+
+import random
+from collections import Counter
+from unittest.mock import patch
+
+import pytest
+
+from graphsmr.bench import BenchConfig, generate_workload, sim_config_for
+from graphsmr.core import CommitGraph, CompactDeps, Noop
+from graphsmr.depservice import DepServiceNode
+from graphsmr.harness import check_history, history, run_simulation
+from graphsmr.replica import CommitSeen
+
+SIZES = (200, 3200)
+
+
+def count_work(commands):
+    # delays vary, so vertices commit out of order and a commit has a gap
+    # above the executed low watermark to walk
+    config = BenchConfig(
+        clients=10,
+        commands_per_client=commands // 10,
+        conflict_rate=1.0,
+        compact_deps=True,
+        min_delay_ms=1.0,
+        max_delay_ms=3.0,
+        seed=1,
+    )
+    workload = generate_workload(config, random.Random(f"{config.seed}/workload"))
+    tally = Counter()
+    above, add, rows = CompactDeps.above, CommitGraph.add, DepServiceNode._conflicting_rows
+    contains, bisect_right = CompactDeps.__contains__, history.bisect_right
+
+    def counted_above(self, low):
+        for v in above(self, low):
+            tally["deps walked"] += 1
+            yield v
+
+    def counted_add(self, v, p):
+        fresh = add(self, v, p)
+        tally["adds"] += fresh
+        return fresh
+
+    def counted_rows(self, access):
+        tally["requests"] += 1
+        for row in rows(self, access):
+            tally["index entries"] += len(row.watermarks)
+            yield row
+
+    def counted_contains(self, v):
+        tally["probes"] += 1
+        return contains(self, v)
+
+    def counted_bisect(*args):
+        tally["probes"] += 1
+        return bisect_right(*args)
+
+    with patch.object(CompactDeps, "above", counted_above), \
+            patch.object(CommitGraph, "add", counted_add), \
+            patch.object(DepServiceNode, "_conflicting_rows", counted_rows):
+        result = run_simulation(sim_config_for(config), workload)
+    assert result.completed
+    with patch.object(CompactDeps, "__contains__", counted_contains), \
+            patch.object(history, "bisect_right", counted_bisect):
+        assert check_history(result.history).ok
+    # every vertex but a recovery noop writes the one hot key
+    tally["vertices"] = len(
+        {ev.v for _, _, ev in result.history
+         if isinstance(ev, CommitSeen) and not isinstance(ev.proposal.cmd, Noop)}
+    )
+    return tally
+
+
+@pytest.fixture(scope="module")
+def work():
+    return {n: count_work(n) for n in SIZES}
+
+
+def per(work, count, unit):
+    return [work[n][count] / work[n][unit] for n in SIZES]
+
+
+def test_commit_walks_do_not_grow_with_history(work):
+    small, large = per(work, "deps walked", "adds")
+    assert large <= 1.5 * small
+
+
+def test_dep_index_reads_do_not_grow_with_history(work):
+    small, large = per(work, "index entries", "requests")
+    assert large <= 1.5 * small
+
+
+def test_checker_probes_do_not_grow_with_history(work):
+    small, large = per(work, "probes", "vertices")
+    assert large <= 1.5 * small
+

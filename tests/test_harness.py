@@ -346,11 +346,32 @@ KEYS = (b"a", b"b", b"c")
 
 
 @st.composite
+def adversarial_watermarks(draw, ids, deps, v):
+    """Compact deps covering `deps`, then each leader's watermark kept, made
+    None, set just below, at or just above the seq of another vertex of that
+    leader, or set past the leader's highest seq."""
+    marks = list(CompactDeps.covering(deps, 3).watermarks)
+    for i in range(3):
+        seqs = [u.seq for u in ids if u.leader_index == i and u != v]
+        fate = draw(st.sampled_from(("keep", "keep", "none", "partner", "past")))
+        if fate == "none":
+            marks[i] = None
+        elif fate == "partner" and seqs:
+            w = draw(st.sampled_from(seqs)) + draw(st.integers(-1, 1))
+            marks[i] = w if w >= 0 else None
+        elif fate == "past":
+            marks[i] = max(seqs, default=0) + draw(st.integers(1, 2))
+    return CompactDeps(tuple(marks))
+
+
+@st.composite
 def conflicting_histories(draw):
     """Commit and execution records over one to three keys: batches that may
-    read and write one key, exact or compact deps with some conflicting
-    edges dropped, and two or three replicas that each apply a perturbed
-    vertex order with some vertices left out or skipped."""
+    read and write one key, noops with empty deps, and exact or compact deps
+    (or both, vertex by vertex) with some conflicting edges dropped and
+    compact watermarks moved to adversarial values; then two or three
+    replicas that each apply a perturbed vertex order with some vertices
+    left out or skipped."""
     keys = KEYS[: draw(st.integers(1, 3))]
     op = st.one_of(
         st.builds(Get, st.sampled_from(keys)),
@@ -364,7 +385,7 @@ def conflicting_histories(draw):
     for v in ids:
         ops = draw(st.lists(op, max_size=3))
         cmds[v] = Batch(tuple(Command("c", i, o) for i, o in enumerate(ops))) if ops else NOOP
-    compact = draw(st.booleans())
+    formats = draw(st.sampled_from((("exact",), ("compact",), ("exact", "compact"))))
     records = []
     for v in ids:
         if cmds[v] == NOOP:
@@ -375,10 +396,10 @@ def conflicting_histories(draw):
                 u for u in ids
                 if u != v and conflicts(cmds[u], cmds[v]) and draw(st.integers(0, 3)) > 0
             ]
-            proposal = Proposal(
-                cmds[v],
-                CompactDeps.covering(deps, 3) if compact else ExactDeps(frozenset(deps)),
-            )
+            if draw(st.sampled_from(formats)) == "exact":
+                proposal = Proposal(cmds[v], ExactDeps(frozenset(deps)))
+            else:
+                proposal = Proposal(cmds[v], draw(adversarial_watermarks(ids, deps, v)))
         records.append((0.0, len(records), CommitSeen("rep-0", v, proposal)))
     for r in range(draw(st.integers(2, 3))):
         order = list(ids)
@@ -395,7 +416,7 @@ def conflicting_histories(draw):
     return records
 
 
-@settings(max_examples=400, deadline=None)
+@settings(max_examples=600, deadline=None)
 @given(conflicting_histories())
 def test_checker_agrees_with_pairwise_oracle(records):
     expected = pairwise_conflict_violations(records)

@@ -14,3 +14,17 @@ def test_safety_fuzz_runs_from_any_directory(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("ok: 2 seeded runs clean")
+
+
+def test_growth_prints_one_row_per_deps_and_conflict_rate(tmp_path):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "growth.py"), "--sizes", "20", "40"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    header, rule, *rows = proc.stdout.splitlines()
+    assert header == "| deps | conflict | sim ms/cmd @20 → @40 | checker s @20 → @40 |"
+    assert [row.split(" | ")[:2] for row in rows] == [
+        ["| exact", "0.0"], ["| exact", "1.0"], ["| compact", "0.1"], ["| compact", "1.0"],
+    ]
