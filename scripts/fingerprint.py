@@ -1,0 +1,113 @@
+#!/usr/bin/env python3
+"""Byte-identity fingerprints of 164 seeded simulation runs.
+
+Prints one `name digest` line per run, where the digest covers the run's
+history text, wire trace, sent and received counts, end time, completion
+and panic (tests/fuzz_helpers.run_fingerprint). A change meant to keep
+same-seed runs identical saves the output of the parent commit and checks
+itself against it with --compare. The runs:
+
+- bench: the benchmark's commute, hotspot and faults rounds at seeds 1-3
+  (12 scenarios, from perfbench/workloads.py);
+- grid: exact/compact deps x batch 1/4 x conflict 0/0.5/1 x seeds 1-6,
+  6 clients x 20 commands, delays U[1,3] ms, drop and dup 0.05 on every
+  link, leader-1 crashed at 40 ms on even seeds (72 runs);
+- fuzz: tests/fuzz_helpers.fuzz_config seeds 0-59, f=2 on every fifth,
+  conflict 0/0.5/1 in turn;
+- mutation: mutation_config seeds 0-4 for each ALL_MUTATIONS entry.
+
+--quick runs a subset of the grid, fuzz and mutation runs in a few seconds.
+
+Usage: python scripts/fingerprint.py [--quick] > parent.txt
+       python scripts/fingerprint.py [--quick] --compare parent.txt
+"""
+
+import argparse
+import random
+import sys
+from dataclasses import replace
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+from fuzz_helpers import fuzz_config, mutation_config, run_fingerprint
+from graphsmr.bench import BenchConfig, generate_workload, sim_config_for
+from graphsmr.harness import ALL_MUTATIONS, Crash, run_simulation
+from workloads import SIM_WORKLOADS, scenarios
+
+
+def bench_runs(seeds):
+    for workload in SIM_WORKLOADS:
+        for seed in seeds:
+            for i, sc in enumerate(scenarios(workload, seed)):
+                yield (f"bench/{workload}/{seed}/{i}",
+                       (sc.sim_config(), sc.generate(), list(sc.faults)))
+
+
+def grid_runs(seeds, batches=(1, 4), conflicts=(0.0, 0.5, 1.0)):
+    for deps in ("exact", "compact"):
+        for batch in batches:
+            for conflict in conflicts:
+                for seed in seeds:
+                    bench = BenchConfig(
+                        clients=6, commands_per_client=20, conflict_rate=conflict,
+                        batch_size=batch, compact_deps=deps == "compact",
+                        min_delay_ms=1.0, max_delay_ms=3.0, seed=seed,
+                    )
+                    config = replace(sim_config_for(bench), drop_prob=0.05, dup_prob=0.05)
+                    workload = generate_workload(bench, random.Random(f"{seed}/workload"))
+                    faults = [Crash("leader-1", 40.0)] if seed % 2 == 0 else []
+                    yield (f"grid/{deps}/b{batch}/c{conflict}/{seed}",
+                           (config, workload, faults))
+
+
+def fuzz_runs(seeds):
+    for seed in seeds:
+        f = 2 if seed % 5 == 4 else 1
+        yield f"fuzz/{seed}", fuzz_config(seed, f, (0.0, 0.5, 1.0)[seed % 3])
+
+
+def mutation_runs(seeds):
+    for name, mutations in ALL_MUTATIONS.items():
+        for seed in seeds:
+            config, workload = mutation_config(name, seed, mutations)
+            yield f"mutation/{name}/{seed}", (config, workload, [])
+
+
+def all_runs(quick: bool):
+    if quick:
+        yield from grid_runs((1, 2), batches=(1, 4), conflicts=(0.5,))
+        yield from fuzz_runs(range(4))
+        yield from mutation_runs((0,))
+        return
+    yield from bench_runs((1, 2, 3))
+    yield from grid_runs(range(1, 7))
+    yield from fuzz_runs(range(60))
+    yield from mutation_runs(range(5))
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--quick", action="store_true", help="run a small subset")
+    parser.add_argument("--compare", metavar="FILE",
+                        help="exit 1 at the first run whose digest differs from FILE's")
+    args = parser.parse_args()
+    expected = None
+    if args.compare:
+        lines = Path(args.compare).read_text().splitlines()
+        expected = dict(line.split() for line in lines if line.strip())
+    for name, (config, workload, faults) in all_runs(args.quick):
+        digest = run_fingerprint(run_simulation(config, workload, faults))
+        print(f"{name} {digest}", flush=True)
+        if expected is not None and expected.get(name) != digest:
+            print(f"differs: {name} (expected {expected.get(name, 'no entry')})",
+                  file=sys.stderr)
+            return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

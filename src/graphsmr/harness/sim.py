@@ -13,10 +13,10 @@ service time there.
 
 from __future__ import annotations
 
-import heapq
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heappop, heappush
 from typing import Optional, Union
 
 from .. import wire
@@ -121,9 +121,13 @@ class Simulation:
         self.received: dict[str, int] = {}
         self.history: list[Record] = []
         self.busy: dict[str, float] = {}
-        self.heap: list = []
-        self.seq = 0
-        self.hist_seq = 0
+        # events are (time, insertion seq, kind, node, a, b): a delivery to
+        # node carries (src, msg), a timer at node carries (key, None)
+        self.heap: list = [
+            (0.0, n, _TIMER, client.name, ("start",), None)
+            for n, client in enumerate(self.clients)
+        ]
+        self.seq = len(self.heap)
         self.now = 0.0
         self.panic: Optional[str] = None
         self.wire_trace: list[bytes] = []
@@ -143,122 +147,130 @@ class Simulation:
             else:
                 raise ConfigError(f"unknown fault {fault!r}")
 
-        for client in self.clients:
-            self._push(0.0, _TIMER, client.name, ("start",))
-
-    # -- scheduling --------------------------------------------------------
-
-    def _push(self, t: float, kind: int, *payload) -> None:
-        heapq.heappush(self.heap, (t, self.seq, kind, payload))
-        self.seq += 1
-
-    def _crashed(self, node: str, t: float) -> bool:
-        at = self.crashes.get(node)
-        return at is not None and t >= at
-
     def _partitioned(self, src: str, dst: str, t: float) -> bool:
         for p in self.partitions:
             if p.start_ms <= t < p.end_ms and (src in p.nodes) != (dst in p.nodes):
                 return True
         return False
 
-    def _link_probs(self, src: str, dst: str) -> tuple[float, float]:
+    def _link(self, src: str, dst: str) -> tuple[bool, float, float]:
+        """(co-located, drop, dup) of the src -> dst link. Unlike a
+        partition, none of it depends on the time of a send."""
+        if self.machine_of.get(src) == self.machine_of.get(dst) and src != dst:
+            return True, 0.0, 0.0
         for lf in self.link_faults:
             if lf.src in ("*", src) and lf.dst in ("*", dst):
-                return lf.drop, lf.dup
-        return self.config.drop_prob, self.config.dup_prob
-
-    def _delay(self) -> float:
-        lo, hi = self.config.min_delay_ms, self.config.max_delay_ms
-        if hi > lo:
-            return self.net_rng.uniform(lo, hi)
-        return lo
-
-    def _send(self, src: str, t: float, eff: Send) -> None:
-        self.sent[src] = self.sent.get(src, 0) + 1
-        dst = eff.dst
-        if self.machine_of.get(src) == self.machine_of.get(dst) and src != dst:
-            # co-located roles exchange messages off the network
-            self._push(t, _DELIVER, dst, src, eff.msg)
-            return
-        if self._partitioned(src, dst, t):
-            return
-        drop, dup = self._link_probs(src, dst)
-        if drop > 0.0 and self.net_rng.random() < drop:
-            return
-        self._push(t + self._delay(), _DELIVER, dst, src, eff.msg)
-        if dup > 0.0 and self.net_rng.random() < dup:
-            self._push(t + self._delay(), _DELIVER, dst, src, eff.msg)
-
-    def _apply(self, node: str, t: float, effects, note_time: float = None) -> None:
-        # sends and timers happen when service completes (t); history records
-        # carry the event's arrival time so timestamps stay globally
-        # non-decreasing even when a busy machine finishes work late
-        if note_time is None:
-            note_time = t
-        for eff in effects:
-            if isinstance(eff, Send):
-                self._send(node, t, eff)
-            elif isinstance(eff, SetTimer):
-                self._push(t + eff.delay_ms, _TIMER, node, eff.key)
-            elif isinstance(eff, Note):
-                self.history.append((note_time, self.hist_seq, eff.event))
-                self.hist_seq += 1
+                return False, lf.drop, lf.dup
+        return False, self.config.drop_prob, self.config.dup_prob
 
     # -- main loop ---------------------------------------------------------
 
     def run(self) -> SimResult:
-        while self.heap:
-            t, _n, kind, payload = heapq.heappop(self.heap)
-            if t > self.config.max_sim_ms:
+        config = self.config
+        heap, busy, history = self.heap, self.busy, self.history
+        sent, received, crashes = self.sent, self.received, self.crashes
+        machine_of = self.machine_of
+        lo, hi = config.min_delay_ms, config.max_delay_ms
+        jitter = hi > lo
+        uniform, chance = self.net_rng.uniform, self.net_rng.random
+        partitioned = self._partitioned if self.partitions else None
+        links: dict[tuple[str, str], tuple[bool, float, float]] = {}  # filled lazily
+        # handlers are resolved here, not at construction, so wrappers
+        # installed on a role instance (or on the wire encoder) before run()
+        # are the ones called
+        on_message = {node: role.on_message for node, role in self.roles.items()}
+        on_timer = {node: role.on_timer for node, role in self.roles.items()}
+        cost = {
+            node: 0.0 if node.startswith("client-") else config.service_cost_ms
+            for node in self.roles
+        }
+        encode = wire.encode_trace_record if config.capture_wire_trace else None
+        # clients with work left; only a delivery to a client can finish it
+        pending = {c.name: c for c in self.clients if not c.done}
+        max_ms = config.max_sim_ms
+        seq, now, panic = self.seq, self.now, None
+
+        while heap:
+            t, _n, kind, node, a, b = heappop(heap)
+            if t > max_ms:
                 break
-            self.now = t
+            now = t
+            if crashes:
+                crash_at = crashes.get(node)
+                if crash_at is not None and t >= crash_at:
+                    continue
             if kind == _DELIVER:
-                dst, src, msg = payload
-                if self._crashed(dst, t):
-                    continue
-                if self.config.capture_wire_trace:
-                    self.wire_trace.append(wire.encode_trace_record(src, dst, msg))
-                machine = self.machine_of[dst]
-                start = max(t, self.busy.get(machine, 0.0))
-                done = start + self._service_cost(dst)
-                self.busy[machine] = done
-                self.received[dst] = self.received.get(dst, 0) + 1
+                if encode is not None:
+                    self.wire_trace.append(encode(a, node, b))
+                machine = machine_of[node]
+                free = busy.get(machine, 0.0)
+                # sends and timers happen when service completes; history
+                # records carry the arrival time t, so timestamps stay
+                # globally non-decreasing even when a busy machine is late
+                done = (free if free > t else t) + cost[node]
+                busy[machine] = done
+                received[node] = received.get(node, 0) + 1
                 try:
-                    effects = self.roles[dst].on_message(src, msg, done)
+                    effects = on_message[node](a, b, done)
                 except ReplicaPanic as exc:
-                    self._apply(dst, done, exc.effects, note_time=t)
-                    self.panic = str(exc)
-                    break
-                self._apply(dst, done, effects, note_time=t)
-                self.now = done
+                    effects, panic = exc.effects, str(exc)
             else:
-                node, key = payload
-                if self._crashed(node, t):
-                    continue
-                effects = self.roles[node].on_timer(key, t)
-                self._apply(node, t, effects)
-            if all(c.done for c in self.clients):
+                done = t
+                effects = on_timer[node](a, t)
+
+            for eff in effects:
+                effect = type(eff)
+                if effect is Send:
+                    sent[node] = sent.get(node, 0) + 1
+                    dst = eff.dst
+                    link = links.get((node, dst))
+                    if link is None:
+                        link = links[node, dst] = self._link(node, dst)
+                    co_located, drop, dup = link
+                    if co_located:
+                        # co-located roles exchange messages off the network
+                        heappush(heap, (done, seq, _DELIVER, dst, node, eff.msg))
+                        seq += 1
+                        continue
+                    if partitioned is not None and partitioned(node, dst, done):
+                        continue
+                    if drop > 0.0 and chance() < drop:
+                        continue
+                    delay = uniform(lo, hi) if jitter else lo
+                    heappush(heap, (done + delay, seq, _DELIVER, dst, node, eff.msg))
+                    seq += 1
+                    if dup > 0.0 and chance() < dup:
+                        delay = uniform(lo, hi) if jitter else lo
+                        heappush(heap, (done + delay, seq, _DELIVER, dst, node, eff.msg))
+                        seq += 1
+                elif effect is SetTimer:
+                    heappush(heap, (done + eff.delay_ms, seq, _TIMER, node, eff.key, None))
+                    seq += 1
+                elif effect is Note:
+                    history.append((t, len(history), eff.event))
+
+            if panic is not None:
                 break
+            now = done
+            if node in pending and pending[node].done:
+                del pending[node]
+            if not pending:
+                break
+        self.seq, self.now, self.panic = seq, now, panic
 
         return SimResult(
-            history=self.history,
-            sent=self.sent,
-            received=self.received,
-            config=self.config,
+            history=history,
+            sent=sent,
+            received=received,
+            config=config,
             roles=self.roles,
             clients=self.clients,
             layout=self.layout,
             completed=all(c.done for c in self.clients),
-            end_ms=self.now,
-            panic=self.panic,
+            end_ms=now,
+            panic=panic,
             wire_trace=b"".join(self.wire_trace),
         )
-
-    def _service_cost(self, node: str) -> float:
-        if node.startswith("client-"):
-            return 0.0
-        return self.config.service_cost_ms
 
 
 def run_simulation(

@@ -201,8 +201,15 @@ class Replica:
         pass in emission order reaches the fixpoint: a component runs iff
         its members are all waiting and, once executed deps are pruned, wait
         only on each other. An uncommitted dep has no edges and never runs.
+
+        A lone waiter needs no traversal: every committed, unexecuted vertex
+        is waiting, so whatever its pruned list still names is uncommitted,
+        and it runs iff that list is empty.
         """
         waiting = self.graph.waiting
+        if len(waiting) == 1:
+            (v,) = waiting
+            return [] if self._waiting_on(v) else self._execute_vertex(v)
         out: list[Effect] = []
         roots = sorted(waiting, key=VertexId.sort_key)  # deterministic traversal
         for comp in _tarjan_sccs(roots, self._waiting_on):

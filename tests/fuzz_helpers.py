@@ -1,16 +1,18 @@
 """Shared fuzz machinery for harness and acceptance tests: seeded random
-workloads, crash schedules bounded by f per role, and per-mutation sim
-configurations tuned so each one trips its violation quickly."""
+workloads, crash schedules bounded by f per role, per-mutation sim
+configurations tuned so each one trips its violation quickly, a digest of
+everything a run produced, and reference oracles for optimised code."""
 
 from __future__ import annotations
 
+import hashlib
 import random
 
 from graphsmr.consensus import ChosenEvent
-from graphsmr.core import Get, Op, Set, footprint
-from graphsmr.harness import Crash, SimConfig, Timeouts
+from graphsmr.core import Get, Op, Set, VertexId, footprint
+from graphsmr.harness import Crash, SimConfig, Timeouts, export_history
 from graphsmr.harness.mutations import Mutations
-from graphsmr.replica import CommitSeen, ExecEvent
+from graphsmr.replica import CommitSeen, ExecEvent, _tarjan_sccs
 
 HOT = b"hotkey!!"
 
@@ -191,3 +193,31 @@ def pairwise_conflict_violations(records) -> list[tuple[str, frozenset]]:
                     if (p1[a] < p1[b]) != (p2[a] < p2[b]):
                         found.append(("conflicting-order", pair))
     return found
+
+
+def reference_execute_eligible(replica) -> list:
+    """Reference for Replica.execute_eligible: Tarjan over every waiting
+    vertex on every call, with no lone-waiter shortcut. Install it on an
+    instance to drive a replica's commits through it."""
+    waiting = replica.graph.waiting
+    out: list = []
+    roots = sorted(waiting, key=VertexId.sort_key)
+    for comp in _tarjan_sccs(roots, replica._waiting_on):
+        members = set(comp)
+        if all(v in waiting and members.issuperset(replica._waiting_on(v)) for v in comp):
+            for v in sorted(comp, key=VertexId.sort_key):
+                out.extend(replica._execute_vertex(v))
+    return out
+
+
+def run_fingerprint(result) -> str:
+    """sha256 over a run's history text, wire trace, sorted sent and
+    received counts, end time, completion and panic: equal digests mean the
+    run is byte-identical in everything it reports."""
+    h = hashlib.sha256()
+    h.update(export_history(result.history).encode())
+    h.update(result.wire_trace)
+    h.update(repr(sorted(result.sent.items())).encode())
+    h.update(repr(sorted(result.received.items())).encode())
+    h.update(repr((result.end_ms, result.completed, result.panic)).encode())
+    return h.hexdigest()

@@ -5,7 +5,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fuzz_helpers import fuzz_config, mutation_config, pairwise_conflict_violations, random_workload
+from fuzz_helpers import (
+    fuzz_config, mutation_config, pairwise_conflict_violations, random_workload, run_fingerprint,
+)
 from graphsmr.core import (
     Batch, Get, NOOP, NOOP_PROPOSAL, Proposal, Set, VertexId, CompactDeps, ExactDeps,
     EMPTY_DEPS, Command, conflicts,
@@ -23,6 +25,7 @@ from graphsmr.harness import (
     run_simulation,
 )
 from graphsmr.harness.history import Invoke, Reply
+from graphsmr.harness.sim import Simulation
 from graphsmr.leader import AssignEvent
 from graphsmr.replica import CommitSeen, ExecEvent, RespondEvent
 
@@ -30,6 +33,52 @@ from graphsmr.replica import CommitSeen, ExecEvent, RespondEvent
 def simple_workload(clients=2, commands=3):
     rng = random.Random(99)
     return random_workload(rng, clients, commands, 0.3)
+
+
+def pinned_runs():
+    """name -> (config, workload, faults): small seeded runs that between
+    them take every branch of the simulator's send and delivery paths."""
+
+    def workload(seed, clients, commands):
+        return random_workload(random.Random(f"pin/{seed}"), clients, commands, 0.5)
+
+    lossy = dict(max_delay_ms=3.0, drop_prob=0.05, dup_prob=0.05)
+    return {
+        "lossy-leader-crash": (
+            SimConfig(seed=31, **lossy), workload(31, 4, 6), [Crash("leader-1", 20.0)]
+        ),
+        "compact-batch4-thrifty": (
+            SimConfig(seed=32, max_delay_ms=2.0, compact_deps=True, batch_size=4,
+                      thrifty=True),
+            workload(32, 6, 6), [],
+        ),
+        "healing-partition": (
+            SimConfig(seed=33, max_delay_ms=3.0), workload(33, 3, 4),
+            [Partition(frozenset({"leader-0", "rep-1", "acc-2"}), 5.0, 60.0)],
+        ),
+        "dead-link": (
+            SimConfig(seed=34), workload(34, 3, 4), [LinkFault("leader-0", "dep-0", drop=1.0)]
+        ),
+        "coupled": (
+            SimConfig(seed=35, coupled=True, leaders=3, replicas=3, max_delay_ms=2.0,
+                      service_cost_ms=0.1),
+            workload(35, 3, 4), [],
+        ),
+        "wire-trace": (
+            SimConfig(seed=36, capture_wire_trace=True, **lossy), workload(36, 3, 5), []
+        ),
+    }
+
+
+# run_fingerprint digests of pinned_runs()
+PINNED_FINGERPRINTS = {
+    "lossy-leader-crash": "58e5c2896d3dc2a7fb31cc902ea68d488877e7524ace6aa40fd4a901f9ba367f",
+    "compact-batch4-thrifty": "3ca31877cbb8305b114268cf06ce3b82b9d97988cd14f568fa2139e2e6651029",
+    "healing-partition": "ef810f9dc6cfcdac3309256cd6ae7754a802bbdef2634e5eb8398ba239109c58",
+    "dead-link": "0f7f8af245629811f5c38f0d4a748ae307c2cc4dff42c6a19fa0add5c6720806",
+    "coupled": "e1f04ae6d42c2edced48309b7ede9d8682aa7e4fcfe2ce0fc7ac985616d9ad62",
+    "wire-trace": "181170590dcbae96bd1be37257c1f53f5af44f11a25245fff78c23a33e7d6fde",
+}
 
 
 class TestDeterminism:
@@ -44,6 +93,59 @@ class TestDeterminism:
         a = run_simulation(SimConfig(seed=1, max_delay_ms=9.0), simple_workload())
         b = run_simulation(SimConfig(seed=2, max_delay_ms=9.0), simple_workload())
         assert export_history(a.history) != export_history(b.history)
+
+    def test_pinned_fingerprints(self):
+        """Each run's history text, wire trace, sent and received counts and
+        end time hash to the digest pinned here, so a change to the simulator
+        or a role that alters any of them fails. A change that alters them on
+        purpose updates the pins and says so in CHANGES.md."""
+        got = {name: run_fingerprint(run_simulation(*run)) for name, run in pinned_runs().items()}
+        assert got == PINNED_FINGERPRINTS
+
+
+class TestEventLoop:
+    def test_handlers_shadowed_after_construction_are_called(self):
+        sim = Simulation(SimConfig(seed=1), simple_workload())
+        calls = Counter()
+
+        def counting(kind, handler):
+            def wrapped(*args):
+                calls[kind] += 1
+                return handler(*args)
+
+            return wrapped
+
+        replica, client = sim.roles["rep-0"], sim.roles["client-0"]
+        replica.on_message = counting("message", replica.on_message)
+        client.on_timer = counting("timer", client.on_timer)
+        res = sim.run()
+        assert res.completed
+        assert calls["message"] == res.received["rep-0"] > 0
+        assert calls["timer"] > 0
+
+    def test_partition_checked_at_every_send(self):
+        # zero jitter and no service cost: every message arrives exactly
+        # 1 ms after it was sent
+        sim = Simulation(SimConfig(seed=2), simple_workload(clients=4, commands=10),
+                         [Partition(frozenset({"leader-0"}), 10.0, 60.0)])
+        crossing = []  # send times of messages delivered across the cut
+        for node, role in sim.roles.items():
+            def recorded(src, msg, now, node=node, handler=role.on_message):
+                if (src == "leader-0") != (node == "leader-0"):
+                    crossing.append(now - 1.0)
+                return handler(src, msg, now)
+
+            role.on_message = recorded
+        res = sim.run()
+        assert res.completed
+        assert not [t for t in crossing if 10.0 <= t < 60.0]
+        assert [t for t in crossing if t < 10.0] and [t for t in crossing if t >= 60.0]
+
+    def test_run_ends_at_the_last_reply(self):
+        config, workload, faults = pinned_runs()["lossy-leader-crash"]
+        res = run_simulation(config, workload, faults)
+        assert res.completed
+        assert res.end_ms == max(done for c in res.clients for _sent, done in c.reply_times)
 
 
 class TestEightDelays:

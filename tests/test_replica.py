@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fuzz_helpers import reference_execute_eligible
 from graphsmr.core import (
     Batch,
     Command,
@@ -417,3 +418,31 @@ def test_commit_order_does_not_change_state_or_conflict_order(data):
         for v, p in proposals.items():
             for dep in p.deps.expand():
                 assert pos[dep] < pos[v]
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_execution_matches_full_traversal_oracle(data):
+    """Random committed graphs, with cycles and deps that are never
+    committed, delivered in random orders (some twice): the replica emits
+    the same ExecEvents, call by call, as one whose execute_eligible runs
+    Tarjan over every waiting vertex."""
+    universe = [VertexId(i % 3, i // 3) for i in range(data.draw(st.integers(1, 9)))]
+    committed = data.draw(st.lists(st.sampled_from(universe), min_size=1, unique=True))
+    proposals = {
+        v: Proposal(
+            Command(f"c{n}", 1, Set(data.draw(st.sampled_from([b"x", b"y"])), bytes([n]))),
+            ExactDeps(frozenset(data.draw(st.lists(st.sampled_from(universe), max_size=4)))),
+        )
+        for n, v in enumerate(committed)
+    }
+    order = data.draw(st.permutations(committed))
+    order += data.draw(st.lists(st.sampled_from(committed), max_size=3))
+
+    rep, oracle = make_replica(), make_replica()
+    oracle.execute_eligible = lambda: reference_execute_eligible(oracle)
+    for v in order:
+        assert execs(rep.commit(v, proposals[v], 0.0)) == execs(
+            oracle.commit(v, proposals[v], 0.0)
+        )
+    assert rep.kv == oracle.kv

@@ -28,3 +28,28 @@ def test_growth_prints_one_row_per_deps_and_conflict_rate(tmp_path):
     assert [row.split(" | ")[:2] for row in rows] == [
         ["| exact", "0.0"], ["| exact", "1.0"], ["| compact", "0.1"], ["| compact", "1.0"],
     ]
+
+
+def test_fingerprint_quick_is_reproducible(tmp_path):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+
+    def fingerprint(*args):
+        return subprocess.run(
+            [sys.executable, str(SCRIPTS / "fingerprint.py"), "--quick", *args],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+        )
+
+    first, second = fingerprint(), fingerprint()
+    assert first.returncode == 0, first.stderr
+    assert first.stdout == second.stdout
+    lines = first.stdout.splitlines()
+    assert lines and all(len(line.split()) == 2 for line in lines)
+
+    (tmp_path / "same.txt").write_text(first.stdout)
+    assert fingerprint("--compare", "same.txt").returncode == 0
+    name = lines[1].split()[0]
+    lines[1] = f"{name} {'0' * 64}"
+    (tmp_path / "other.txt").write_text("\n".join(lines) + "\n")
+    proc = fingerprint("--compare", "other.txt")
+    assert proc.returncode == 1
+    assert f"differs: {name} " in proc.stderr
