@@ -141,12 +141,11 @@ def conflicts(x: Payload, y: Payload) -> bool:
     return False
 
 
-# Both dependency-set formats answer `v in deps` in O(1), iterate over the
-# covered vertex ids, have a `len` (and so emptiness) and a `union`.
-# deps.above(low) yields every covered (i, s) with s > low.get(i, -1), and
-# may yield covered vertices below that too: a compact set walks only the
-# range above each watermark, an exact set yields all its vertices. Only
-# expand() builds a set; it is meant for tests and offline measurement.
+# Both dependency-set formats answer `v in deps` in O(1), have a `len` (and
+# so emptiness) and a `union`. deps.above(low) yields exactly the covered
+# (i, s) with s > low.get(i, -1): a compact set walks only the range above
+# each watermark, an exact set filters its vertices. Only expand() builds a
+# set; it is meant for tests and offline measurement.
 
 
 @dataclass(frozen=True)
@@ -158,14 +157,11 @@ class ExactDeps:
     def __contains__(self, v: VertexId) -> bool:
         return v in self.vertices
 
-    def __iter__(self) -> Iterator[VertexId]:
-        return iter(self.vertices)
-
     def __len__(self) -> int:
         return len(self.vertices)
 
-    def above(self, low: Mapping[int, int]) -> Iterable[VertexId]:
-        return self.vertices
+    def above(self, low: Mapping[int, int]) -> list[VertexId]:
+        return [v for v in self.vertices if v.seq > low.get(v.leader_index, -1)]
 
     def expand(self) -> frozenset[VertexId]:
         return self.vertices
@@ -203,9 +199,6 @@ class CompactDeps:
         w = self.watermarks[v.leader_index]
         return w is not None and v.seq <= w
 
-    def __iter__(self) -> Iterator[VertexId]:
-        return self.above({})
-
     def above(self, low: Mapping[int, int]) -> Iterator[VertexId]:
         """Exactly the covered (i, s) with s > low.get(i, -1): one range per
         leader, as long as the gap between the two watermarks."""
@@ -218,7 +211,7 @@ class CompactDeps:
         return sum(w + 1 for w in self.watermarks if w is not None)
 
     def expand(self) -> frozenset[VertexId]:
-        return frozenset(self)
+        return frozenset(self.above({}))
 
     def union(self, other: "Deps") -> "CompactDeps":
         if not isinstance(other, CompactDeps):
@@ -258,6 +251,36 @@ class AgreementViolation(Exception):
     """Two different proposals observed as committed for the same vertex."""
 
 
+class WatermarkSet:
+    """A set of (row, seq) pairs whose rows number their seqs contiguously
+    from `first`. low[row] is the highest seq up to which every seq of the
+    row is in the set; sparse holds the pairs above it. Memory is O(rows +
+    pairs added out of order), not O(pairs)."""
+
+    def __init__(self, first: int) -> None:
+        self.first = first
+        self.low: dict = {}
+        self.sparse: set = set()
+
+    def __contains__(self, pair: tuple) -> bool:
+        row, seq = pair
+        return seq <= self.low.get(row, self.first - 1) or pair in self.sparse
+
+    def __len__(self) -> int:
+        return sum(w - self.first + 1 for w in self.low.values()) + len(self.sparse)
+
+    def add(self, pair: tuple) -> None:
+        row, seq = pair
+        w = self.low.get(row, self.first - 1)
+        if seq == w + 1:
+            while (row, seq + 1) in self.sparse:
+                seq += 1
+                self.sparse.remove((row, seq))
+            self.low[row] = seq
+        elif seq > w:
+            self.sparse.add(pair)
+
+
 class CommitGraph:
     """Map of committed vertices plus execution status.
 
@@ -267,17 +290,15 @@ class CommitGraph:
     not executed when v was added, never v itself (compact deps can cover
     it). Callers may prune it in place as deps execute.
 
-    low[i] is leader i's executed low watermark: every (i, s) with s <=
-    low[i] has executed. Leaders number their vertices contiguously, so it
-    trails the highest executed seq only by the out-of-order gap, and add()
-    walks a compact set from there instead of from seq 0.
+    executed holds the executed vertices with one row per leader, so add()
+    walks a dependency set only above each leader's executed low watermark,
+    which trails the highest executed seq by the out-of-order gap.
     """
 
     def __init__(self) -> None:
         self.committed: dict[VertexId, Proposal] = {}
-        self.executed: set[VertexId] = set()
+        self.executed = WatermarkSet(0)
         self.waiting: dict[VertexId, list[VertexId]] = {}
-        self.low: dict[int, int] = {}
 
     def add(self, v: VertexId, p: Proposal) -> bool:
         """Record a committed vertex. Returns False on duplicate delivery."""
@@ -287,18 +308,11 @@ class CommitGraph:
                 raise AgreementViolation(f"vertex {v}: {existing} vs {p}")
             return False
         self.committed[v] = p
-        deps = (
-            dep for dep in p.deps.above(self.low) if dep not in self.executed and dep != v
-        )
+        sparse = self.executed.sparse
+        deps = (dep for dep in p.deps.above(self.executed.low) if dep not in sparse and dep != v)
         self.waiting[v] = sorted(deps, key=VertexId.sort_key)
         return True
 
     def mark_executed(self, v: VertexId) -> None:
         del self.waiting[v]
         self.executed.add(v)
-        i = v.leader_index
-        if v.seq == self.low.get(i, -1) + 1:
-            w = v.seq
-            while VertexId(i, w + 1) in self.executed:
-                w += 1
-            self.low[i] = w

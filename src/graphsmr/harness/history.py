@@ -15,7 +15,7 @@ from math import inf
 from typing import Iterable, Iterator, Optional
 
 from ..consensus import ChosenEvent
-from ..core import CompactDeps, Get, Proposal, VertexId, footprint
+from ..core import CompactDeps, Get, Proposal, VertexId, key_access
 from ..replica import CommitSeen, ExecEvent, RespondEvent
 
 Record = tuple[float, int, object]
@@ -74,10 +74,7 @@ def _key_index(
     left out."""
     index: dict[bytes, tuple[list[VertexId], list[VertexId]]] = {}
     for v in sorted(proposals, key=VertexId.sort_key):
-        writes: dict[bytes, bool] = {}
-        for key, is_write in footprint(proposals[v].cmd):
-            writes[key] = writes.get(key, False) or is_write
-        for key, is_write in writes.items():
+        for key, is_write in key_access(proposals[v].cmd).items():
             index.setdefault(key, ([], []))[0 if is_write else 1].append(v)
     return {key: lists for key, lists in index.items() if lists[0]}
 

@@ -6,7 +6,7 @@ with recovery noops via an embedded consensus proposer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Union
 
 from .consensus import Proposer
@@ -20,6 +20,7 @@ from .core import (
     Noop,
     Proposal,
     VertexId,
+    WatermarkSet,
 )
 from .messages import (
     ClientResponse,
@@ -77,14 +78,6 @@ class ReplicaPanic(Exception):
         self.cause = cause
 
 
-@dataclass
-class _ClientRow:
-    watermark: int = 0  # every seq <= watermark has been executed
-    sparse: set[int] = field(default_factory=set)
-    highest: int = 0
-    cached_output: Optional[bytes] = None
-
-
 class ClientTable:
     """Per-client record of every executed command id, plus the output of
     the largest one. Recording only the largest id is not enough for a
@@ -92,38 +85,22 @@ class ClientTable:
     execution after a newer, non-conflicting one has already run."""
 
     def __init__(self) -> None:
-        self.rows: dict[str, _ClientRow] = {}
-
-    def _row(self, client: str) -> _ClientRow:
-        row = self.rows.get(client)
-        if row is None:
-            row = self.rows[client] = _ClientRow()
-        return row
+        self.executed = WatermarkSet(1)  # (client, seq): client seqs start at 1
+        self.highest: dict[str, tuple[int, Optional[bytes]]] = {}
 
     def contains(self, client: str, seq: int) -> bool:
-        row = self.rows.get(client)
-        if row is None:
-            return False
-        return seq <= row.watermark or seq in row.sparse
+        return (client, seq) in self.executed
 
     def record(self, client: str, seq: int, output: Optional[bytes]) -> None:
-        row = self._row(client)
-        if seq == row.watermark + 1:
-            row.watermark = seq
-            while row.watermark + 1 in row.sparse:
-                row.watermark += 1
-                row.sparse.discard(row.watermark)
-        elif seq > row.watermark:
-            row.sparse.add(seq)
-        if seq > row.highest:
-            row.highest = seq
-            row.cached_output = output
+        self.executed.add((client, seq))
+        if seq > self.highest.get(client, (0, None))[0]:
+            self.highest[client] = (seq, output)
 
     def cached(self, client: str, seq: int) -> tuple[bool, Optional[bytes]]:
         """(available, output) for a duplicate of an executed command."""
-        row = self.rows.get(client)
-        if row is not None and seq == row.highest:
-            return True, row.cached_output
+        highest = self.highest.get(client)
+        if highest is not None and seq == highest[0]:
+            return True, highest[1]
         return False, None
 
 
@@ -247,8 +224,7 @@ class Replica:
             return [Note(ExecEvent(self.name, v, None, None, None, False, None, position))]
 
         if self.largest_seq_only:
-            row = self.table.rows.get(cmd.client_id)
-            duplicate = row is not None and cmd.client_seq <= row.highest
+            duplicate = cmd.client_seq <= self.table.highest.get(cmd.client_id, (0, None))[0]
         else:
             duplicate = self.table.contains(cmd.client_id, cmd.client_seq)
 

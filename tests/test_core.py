@@ -10,6 +10,7 @@ from graphsmr.core import (
     Get,
     Set,
     VertexId,
+    WatermarkSet,
     conflicts,
     fnv1a64,
 )
@@ -163,7 +164,38 @@ def test_union_idempotent(d):
 def test_membership_size_and_iteration_match_expansion(d, v):
     assert (v in d) == (v in d.expand())
     assert len(d) == len(d.expand())
-    assert sorted(d) == sorted(d.expand())
+
+
+@given(
+    st.one_of(exact_deps, compact_deps),
+    st.dictionaries(st.integers(0, 3), st.integers(-1, 5), max_size=4),
+)
+def test_above_yields_exactly_the_covered_ids_over_low(d, low):
+    above = list(d.above(low))
+    assert len(above) == len(set(above))
+    assert set(above) == {v for v in d.expand() if v.seq > low.get(v.leader_index, -1)}
+
+
+@given(
+    st.sampled_from([0, 1]),
+    st.lists(st.tuples(st.sampled_from("abc"), st.integers(0, 8)), max_size=30),
+)
+def test_watermark_set_matches_a_plain_set(first, pairs):
+    """Random insertion orders with duplicates over several rows; the pairs
+    of each row start at `first`."""
+    ws, oracle = WatermarkSet(first), set()
+    for row, k in pairs:
+        ws.add((row, first + k))
+        oracle.add((row, first + k))
+        assert len(ws) == len(oracle)
+    for row in "abcd":
+        for seq in range(first, first + 10):
+            assert ((row, seq) in ws) == ((row, seq) in oracle)
+    # the watermark absorbs every contiguous run from `first`
+    for row, w in ws.low.items():
+        assert (row, w + 1) not in oracle
+    assert all((row, first) not in oracle for row in "abcd" if row not in ws.low)
+    assert all(seq > ws.low.get(row, first - 1) + 1 for row, seq in ws.sparse)
 
 
 def test_noop_proposal_must_have_empty_deps():

@@ -2,7 +2,8 @@
 node, the replica's commit path and the checker must not grow with the
 history. Each guard counts work, not time, by wrapping a method for the
 length of one run, and compares a 200-command run with a 3200-command run
-of the same all-conflict workload."""
+of the same all-conflict workload. A last guard bounds the replica's
+executed-id state after a long conflict-free run."""
 
 import random
 from collections import Counter
@@ -14,7 +15,7 @@ from graphsmr.bench import BenchConfig, generate_workload, sim_config_for
 from graphsmr.core import CommitGraph, CompactDeps, Noop
 from graphsmr.depservice import DepServiceNode
 from graphsmr.harness import check_history, history, run_simulation
-from graphsmr.replica import CommitSeen
+from graphsmr.replica import CommitSeen, Replica
 
 SIZES = (200, 3200)
 
@@ -99,3 +100,22 @@ def test_checker_probes_do_not_grow_with_history(work):
     small, large = per(work, "probes", "vertices")
     assert large <= 1.5 * small
 
+
+
+def test_executed_state_is_bounded_by_the_gap():
+    """Every replica executes every vertex, so once the run ends each row of
+    its executed sets sits under the watermark: one row per leader or
+    client, nothing sparse, and the length still counts every vertex."""
+    config = BenchConfig(
+        clients=64, commands_per_client=50, min_delay_ms=1.0, max_delay_ms=2.0, seed=7
+    )
+    workload = generate_workload(config, random.Random(f"{config.seed}/workload"))
+    result = run_simulation(sim_config_for(config), workload)
+    assert result.completed
+    replicas = [r for r in result.roles.values() if isinstance(r, Replica)]
+    assert len(replicas) == config.replicas
+    for rep in replicas:
+        executed, table = rep.graph.executed, rep.table.executed
+        assert len(executed.low) <= config.leaders and not executed.sparse
+        assert len(executed) == 64 * 50
+        assert len(table.low) == 64 and not table.sparse

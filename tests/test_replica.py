@@ -220,8 +220,7 @@ class TestClientTable:
         table = ClientTable()
         for seq in (2, 3, 1):
             table.record("c", seq, b"out")
-        row = table.rows["c"]
-        assert row.watermark == 3 and row.sparse == set()
+        assert table.executed.low == {"c": 3} and table.executed.sparse == set()
 
     def test_noop_has_no_effect_and_no_output(self):
         rep = make_replica()
