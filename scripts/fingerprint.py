@@ -11,7 +11,8 @@ itself against it with --compare. The runs:
   (12 scenarios, from perfbench/workloads.py);
 - grid: exact/compact deps x batch 1/4 x conflict 0/0.5/1 x seeds 1-6,
   6 clients x 20 commands, delays U[1,3] ms, drop and dup 0.05 on every
-  link, leader-1 crashed at 40 ms on even seeds (72 runs);
+  link, leader-1 crashed at 40 ms on even seeds, wire trace captured so the
+  digest covers the codec on both deps formats and on batches (72 runs);
 - fuzz: tests/fuzz_helpers.fuzz_config seeds 0-59, f=2 on every fifth,
   conflict 0/0.5/1 in turn;
 - mutation: mutation_config seeds 0-4 for each ALL_MUTATIONS entry.
@@ -57,7 +58,8 @@ def grid_runs(seeds, batches=(1, 4), conflicts=(0.0, 0.5, 1.0)):
                         batch_size=batch, compact_deps=deps == "compact",
                         min_delay_ms=1.0, max_delay_ms=3.0, seed=seed,
                     )
-                    config = replace(sim_config_for(bench), drop_prob=0.05, dup_prob=0.05)
+                    config = replace(sim_config_for(bench), drop_prob=0.05, dup_prob=0.05,
+                                     capture_wire_trace=True)
                     workload = generate_workload(bench, random.Random(f"{seed}/workload"))
                     faults = [Crash("leader-1", 40.0)] if seed % 2 == 0 else []
                     yield (f"grid/{deps}/b{batch}/c{conflict}/{seed}",

@@ -31,12 +31,6 @@ from .messages import (
 )
 
 
-@dataclass(frozen=True)
-class Round:
-    number: int
-    owner: int
-
-
 def round_owner(number: int, designated: int, num_proposers: int) -> int:
     return (designated + number) % num_proposers
 

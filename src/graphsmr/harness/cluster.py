@@ -161,38 +161,31 @@ def build_cluster(config, workload: list[list[Op]]):
         roles[name] = DepServiceNode(name, config.leaders, compact=config.compact_deps)
     for name in lay.acceptors:
         roles[name] = Acceptor(name, ignore_promises=muts.acceptor_ignores_promises)
-    num_total = config.leaders + config.replicas
+
+    def proposer(name: str, index: int, rng_seed: str) -> Proposer:
+        return Proposer(
+            name,
+            index=index,
+            num_main_proposers=config.leaders,
+            num_total_proposers=config.leaders + config.replicas,
+            f=f,
+            acceptors=lay.acceptors,
+            replicas=lay.replicas,
+            rng=random.Random(rng_seed),
+            retransmit_ms=t.proposer_retransmit_ms,
+            backoff_base_ms=t.backoff_base_ms,
+        )
+
     for i, name in enumerate(lay.proposers):
-        roles[name] = Proposer(
-            name,
-            index=i,
-            num_main_proposers=config.leaders,
-            num_total_proposers=num_total,
-            f=f,
-            acceptors=lay.acceptors,
-            replicas=lay.replicas,
-            rng=random.Random(f"{config.seed}/{name}"),
-            retransmit_ms=t.proposer_retransmit_ms,
-            backoff_base_ms=t.backoff_base_ms,
-        )
+        roles[name] = proposer(name, i, f"{config.seed}/{name}")
     for i, name in enumerate(lay.replicas):
-        recovery = Proposer(
-            name,
-            index=config.leaders + i,
-            num_main_proposers=config.leaders,
-            num_total_proposers=num_total,
-            f=f,
-            acceptors=lay.acceptors,
-            replicas=lay.replicas,
-            rng=random.Random(f"{config.seed}/{name}/recovery"),
-            retransmit_ms=t.proposer_retransmit_ms,
-            backoff_base_ms=t.backoff_base_ms,
-        )
         roles[name] = Replica(
             name,
             i,
             config.replicas,
-            recovery_proposer=recovery,
+            recovery_proposer=proposer(
+                name, config.leaders + i, f"{config.seed}/{name}/recovery"
+            ),
             recovery_timeout_ms=t.recovery_timeout_ms,
             skip_scc_order=muts.replica_skip_scc,
             largest_seq_only=muts.client_table_largest_only,

@@ -33,7 +33,6 @@ class AssignEvent:
 class _Pending:
     cmd: Union[Command, Batch]
     replies: dict[str, Deps] = field(default_factory=dict)
-    targets: tuple[str, ...] = ()
 
 
 class Leader:
@@ -102,7 +101,7 @@ class Leader:
         v = VertexId(self.index, self.next_seq)
         self.next_seq += 1
         targets = self._initial_targets(v)
-        self.pending[v] = _Pending(cmd, targets=targets)
+        self.pending[v] = _Pending(cmd)
         out: list[Effect] = [Note(AssignEvent(self.name, v, cmd))]
         out.extend(Send(d, DepRequest(v, cmd)) for d in targets)
         out.append(SetTimer(self.retransmit_ms, ("dep-retx", v)))
@@ -140,10 +139,9 @@ class Leader:
             if pending is None:
                 return []
             # widen to every node; with thrifty off this is a plain resend
-            pending.targets = tuple(self.dep_nodes)
             out: list[Effect] = [
                 Send(d, DepRequest(v, pending.cmd))
-                for d in pending.targets
+                for d in self.dep_nodes
                 if d not in pending.replies
             ]
             out.append(SetTimer(self.retransmit_ms, ("dep-retx", v)))

@@ -11,7 +11,6 @@ from __future__ import annotations
 import heapq
 import queue
 import socket
-import struct
 import threading
 import time
 from dataclasses import dataclass
@@ -19,7 +18,7 @@ from dataclasses import dataclass
 from .harness.cluster import build_cluster
 from .harness.history import Record
 from .messages import Note, Send, SetTimer
-from .wire import decode_frame, encode_frame
+from .wire import decode_frame, encode_frame, split_frames
 
 
 class _HistorySink:
@@ -77,12 +76,8 @@ class _NodeThread(threading.Thread):
                 return
             if not chunk:
                 return
-            buf += chunk
-            while len(buf) >= 4:
-                (length,) = struct.unpack(">I", buf[:4])
-                if len(buf) < 4 + length:
-                    break
-                frame, buf = buf[4 : 4 + length], buf[4 + length :]
+            frames, buf = split_frames(buf + chunk)
+            for frame in frames:
                 self.inbox.put(decode_frame(frame))
 
     def _connection_to(self, dst: str) -> socket.socket:

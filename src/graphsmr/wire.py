@@ -1,10 +1,15 @@
 """Canonical binary wire format.
 
-Frames are length-prefixed: a big-endian u32 byte count, then the payload.
-Every message payload starts with one tag byte; all integers are big-endian,
-byte strings are u32-length-prefixed, vertex ids use the canonical 8-byte
-encoding from core. The same schema serves the socket transport and
-simulator trace dumps.
+Frames are length-prefixed: a big-endian u32 byte count, then the body;
+`split_frames` is the one parser of that prefix. Every message starts with
+one tag byte; all integers are big-endian, byte strings are
+u32-length-prefixed, vertex ids use the canonical 8-byte encoding from core.
+The same schema serves the socket transport and simulator trace dumps.
+
+The format is written down once, as a table of codecs: a codec is a
+(write, read) pair, and each type's codec is built from the codecs of its
+parts by `_record`, `_union`, `_tuple_of` and `_optional`, so the encoder
+and the decoder cannot disagree.
 
 An exact dependency set is its vertices in increasing (seq, leader) order;
 the decoder rejects any other order, so one set has exactly one encoding.
@@ -12,16 +17,16 @@ the decoder rejects any other order, so one set has exactly one encoding.
 
 from __future__ import annotations
 
+import dataclasses
 import operator
 import struct
 import weakref
-from typing import Optional, Union
+from typing import Any, Callable, Optional
 
 from .core import (
     Batch,
     Command,
     CompactDeps,
-    Deps,
     ExactDeps,
     Get,
     NOOP,
@@ -45,24 +50,8 @@ from .messages import (
     ProposeRequest,
 )
 
-_MESSAGE_TAGS = [
-    ClientRequest,
-    DepRequest,
-    DepReply,
-    ProposeRequest,
-    Phase1a,
-    Phase1b,
-    Phase2a,
-    Phase2b,
-    Nack,
-    Commit,
-    ClientResponse,
-]
-_TAG_OF = {cls: i + 1 for i, cls in enumerate(_MESSAGE_TAGS)}
-
-
-_U8 = struct.Struct(">B")
 _U32 = struct.Struct(">I")
+_OPT_U32 = struct.Struct(">BI")
 _LOW32 = 0xFFFFFFFF
 
 
@@ -70,118 +59,138 @@ class WireError(ValueError):
     pass
 
 
-class _Writer:
-    def __init__(self) -> None:
-        self.parts: list[bytes] = []
-
-    def u8(self, x: int) -> None:
-        self.parts.append(_U8.pack(x))
-
-    def u32(self, x: int) -> None:
-        self.parts.append(_U32.pack(x))
-
-    def blob(self, b: bytes) -> None:
-        self.u32(len(b))
-        self.parts.append(b)
-
-    def text(self, s: str) -> None:
-        self.blob(s.encode("utf-8"))
-
-    def vertex(self, v: VertexId) -> None:
-        self.parts.append(v.encode())
-
-    def done(self) -> bytes:
-        return b"".join(self.parts)
-
-
 class _Reader:
+    __slots__ = ("data", "pos")
+
     def __init__(self, data: bytes) -> None:
         self.data = data
         self.pos = 0
 
-    def _take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
+    def take(self, n: int) -> bytes:
+        end = self.pos + n
+        if end > len(self.data):
             raise WireError("truncated frame")
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
+        out = self.data[self.pos : end]
+        self.pos = end
         return out
 
-    def u8(self) -> int:
-        return self._take(1)[0]
 
-    def u32(self) -> int:
-        return _U32.unpack(self._take(4))[0]
-
-    def u32s(self, n: int) -> tuple[int, ...]:
-        if self.pos + 4 * n > len(self.data):
-            raise WireError("truncated frame")
-        out = struct.unpack_from(f">{n}I", self.data, self.pos)
-        self.pos += 4 * n
-        return out
-
-    def blob(self) -> bytes:
-        return self._take(self.u32())
-
-    def text(self) -> str:
-        return self.blob().decode("utf-8")
-
-    def vertex(self) -> VertexId:
-        return VertexId.decode(self._take(8))
+# A writer appends the bytes of one value to a list of parts; a reader
+# consumes one value from a _Reader.
+_Codec = tuple[Callable[[list, Any], None], Callable[[_Reader], Any]]
 
 
-def _write_op(w: _Writer, op: Union[Get, Set]) -> None:
-    if isinstance(op, Get):
-        w.u8(0)
-        w.blob(op.key)
-    else:
-        w.u8(1)
-        w.blob(op.key)
-        w.blob(op.value)
+def _read_u32(r: _Reader) -> int:
+    return _U32.unpack(r.take(4))[0]
 
 
-def _read_op(r: _Reader) -> Union[Get, Set]:
-    tag = r.u8()
-    if tag == 0:
-        return Get(r.blob())
-    if tag == 1:
-        return Set(r.blob(), r.blob())
-    raise WireError(f"bad op tag {tag}")
+def _write_blob(out: list, b: bytes) -> None:
+    out.append(_U32.pack(len(b)))
+    out.append(b)
 
 
-def _write_command(w: _Writer, cmd: Command) -> None:
-    w.text(cmd.client_id)
-    w.u32(cmd.client_seq)
-    _write_op(w, cmd.op)
+def _read_blob(r: _Reader) -> bytes:
+    return r.take(_read_u32(r))
 
 
-def _read_command(r: _Reader) -> Command:
-    return Command(r.text(), r.u32(), _read_op(r))
+def _write_text(out: list, s: str) -> None:
+    _write_blob(out, s.encode("utf-8"))
 
 
-def _write_payload(w: _Writer, payload) -> None:
-    if isinstance(payload, Command):
-        w.u8(0)
-        _write_command(w, payload)
-    elif isinstance(payload, Noop):
-        w.u8(1)
-    elif isinstance(payload, Batch):
-        w.u8(2)
-        w.u32(len(payload.commands))
-        for cmd in payload.commands:
-            _write_command(w, cmd)
-    else:
-        raise WireError(f"bad payload {payload!r}")
+def _read_text(r: _Reader) -> str:
+    return _read_blob(r).decode("utf-8")
 
 
-def _read_payload(r: _Reader):
-    tag = r.u8()
-    if tag == 0:
-        return _read_command(r)
-    if tag == 1:
-        return NOOP
-    if tag == 2:
-        return Batch(tuple(_read_command(r) for _ in range(r.u32())))
-    raise WireError(f"bad payload tag {tag}")
+def _write_opt_u32(out: list, x: Optional[int]) -> None:
+    out.append(_OPT_U32.pack(0, 0) if x is None else _OPT_U32.pack(1, x))
+
+
+def _read_opt_u32(r: _Reader) -> Optional[int]:
+    present, value = _OPT_U32.unpack(r.take(5))
+    return value if present else None
+
+
+_u32: _Codec = (lambda out, x: out.append(_U32.pack(x)), _read_u32)
+_flag: _Codec = (lambda out, x: out.append(b"\x01" if x else b"\x00"),
+                 lambda r: bool(r.take(1)[0]))
+_blob: _Codec = (_write_blob, _read_blob)
+_text: _Codec = (_write_text, _read_text)
+# always five bytes: a presence byte, then the value or zero
+_opt_u32: _Codec = (_write_opt_u32, _read_opt_u32)
+_vertex: _Codec = (lambda out, v: out.append(v.encode()), lambda r: VertexId.decode(r.take(8)))
+_noop: _Codec = (lambda out, x: None, lambda r: NOOP)
+
+
+def _record(cls, *codecs: _Codec) -> _Codec:
+    """A dataclass: its fields in declaration order, one codec each."""
+    steps = [
+        (operator.attrgetter(f.name), w)
+        for f, (w, _) in zip(dataclasses.fields(cls), codecs, strict=True)
+    ]
+    readers = [r for _, r in codecs]
+
+    def write(out: list, x) -> None:
+        for get, w in steps:
+            w(out, get(x))
+
+    def read(r: _Reader):
+        return cls(*[read(r) for read in readers])
+
+    return write, read
+
+
+def _union(what: str, first_tag: int, *cases: tuple[type, _Codec]) -> _Codec:
+    """One tag byte, numbered from first_tag in case order, then the case."""
+    writers = {cls: (bytes([tag]), w) for tag, (cls, (w, _)) in enumerate(cases, first_tag)}
+    readers = {tag: r for tag, (_, (_, r)) in enumerate(cases, first_tag)}
+
+    def write(out: list, x) -> None:
+        case = writers.get(type(x))
+        if case is None:
+            raise WireError(f"unknown {what} type {type(x).__name__}")
+        out.append(case[0])
+        case[1](out, x)
+
+    def read(r: _Reader):
+        tag = r.take(1)[0]
+        case = readers.get(tag)
+        if case is None:
+            raise WireError(f"unknown {what} tag {tag}")
+        return case(r)
+
+    return write, read
+
+
+def _tuple_of(codec: _Codec) -> _Codec:
+    """A u32 count, then the items."""
+    write_item, read_item = codec
+
+    def write(out: list, xs: tuple) -> None:
+        out.append(_U32.pack(len(xs)))
+        for x in xs:
+            write_item(out, x)
+
+    def read(r: _Reader) -> tuple:
+        return tuple([read_item(r) for _ in range(_read_u32(r))])
+
+    return write, read
+
+
+def _optional(codec: _Codec) -> _Codec:
+    """A presence byte, then the value if present."""
+    write_value, read_value = codec
+
+    def write(out: list, x) -> None:
+        if x is None:
+            out.append(b"\x00")
+        else:
+            out.append(b"\x01")
+            write_value(out, x)
+
+    def read(r: _Reader):
+        return read_value(r) if r.take(1)[0] else None
+
+    return write, read
 
 
 # Exact dependency sets grow with the history and one set rides on many
@@ -192,199 +201,123 @@ _exact_deps_bytes: "weakref.WeakKeyDictionary[ExactDeps, bytes]" = weakref.WeakK
 
 
 def _encode_exact_deps(deps: ExactDeps) -> bytes:
-    """Tag 0, the count, then (leader u32, seq u32) per vertex in increasing
+    """The count, then (leader u32, seq u32) per vertex in increasing
     (seq, leader) order. Leader indices are positions in the cluster's
     leader list, far below 2**32, so (seq << 32) | leader sorts in that
     order and splits back into the two fields."""
     keys = sorted([(v.seq << 32) | v.leader_index for v in deps.vertices])
     fields = [x for k in keys for x in (k & _LOW32, k >> 32)]
-    return struct.pack(f">BI{len(fields)}I", 0, len(keys), *fields)
+    return struct.pack(f">I{len(fields)}I", len(keys), *fields)
 
 
-def _write_deps(w: _Writer, deps: Deps) -> None:
-    if isinstance(deps, ExactDeps):
-        data = _exact_deps_bytes.get(deps)
-        if data is None:
-            data = _exact_deps_bytes[deps] = _encode_exact_deps(deps)
-        w.parts.append(data)
-    else:
-        w.u8(1)
-        w.u32(len(deps.watermarks))
-        for wm in deps.watermarks:
-            _write_opt_u32(w, wm)
+def _write_exact_deps(out: list, deps: ExactDeps) -> None:
+    data = _exact_deps_bytes.get(deps)
+    if data is None:
+        data = _exact_deps_bytes[deps] = _encode_exact_deps(deps)
+    out.append(data)
 
 
-def _read_deps(r: _Reader) -> Deps:
-    tag = r.u8()
-    if tag == 0:
-        fields = r.u32s(2 * r.u32())
-        leaders, seqs = fields[0::2], fields[1::2]
-        keys = [(seq << 32) | leader for leader, seq in zip(leaders, seqs)]
-        if not all(map(operator.lt, keys, keys[1:])):
-            raise WireError("exact deps not in strictly increasing (seq, leader) order")
-        return ExactDeps(frozenset(map(VertexId, leaders, seqs)))
-    if tag == 1:
-        return CompactDeps(tuple(_read_opt_u32(r) for _ in range(r.u32())))
-    raise WireError(f"bad deps tag {tag}")
+def _read_exact_deps(r: _Reader) -> ExactDeps:
+    n = 2 * _read_u32(r)
+    fields = struct.unpack(f">{n}I", r.take(4 * n))
+    leaders, seqs = fields[0::2], fields[1::2]
+    keys = [(seq << 32) | leader for leader, seq in zip(leaders, seqs)]
+    if not all(map(operator.lt, keys, keys[1:])):
+        raise WireError("exact deps not in strictly increasing (seq, leader) order")
+    return ExactDeps(frozenset(map(VertexId, leaders, seqs)))
 
 
-def _write_proposal(w: _Writer, p: Proposal) -> None:
-    _write_payload(w, p.cmd)
-    _write_deps(w, p.deps)
-
-
-def _read_proposal(r: _Reader) -> Proposal:
-    return Proposal(_read_payload(r), _read_deps(r))
-
-
-def _write_opt_u32(w: _Writer, x: Optional[int]) -> None:
-    if x is None:
-        w.u8(0)
-        w.u32(0)
-    else:
-        w.u8(1)
-        w.u32(x)
-
-
-def _read_opt_u32(r: _Reader) -> Optional[int]:
-    present = r.u8()
-    value = r.u32()
-    return value if present else None
+_command = _record(Command, _text, _u32, _union(
+    "op", 0,
+    (Get, _record(Get, _blob)),
+    (Set, _record(Set, _blob, _blob)),
+))
+_payload = _union(
+    "payload", 0,
+    (Command, _command),
+    (Noop, _noop),
+    (Batch, _record(Batch, _tuple_of(_command))),
+)
+_deps = _union(
+    "deps", 0,
+    (ExactDeps, (_write_exact_deps, _read_exact_deps)),
+    (CompactDeps, _record(CompactDeps, _tuple_of(_opt_u32))),
+)
+_proposal = _record(Proposal, _payload, _deps)
+_write_message, _read_message = _union(
+    "message", 1,
+    (ClientRequest, _record(ClientRequest, _command)),
+    (DepRequest, _record(DepRequest, _vertex, _payload)),
+    (DepReply, _record(DepReply, _vertex, _payload, _deps)),
+    (ProposeRequest, _record(ProposeRequest, _vertex, _proposal)),
+    (Phase1a, _record(Phase1a, _vertex, _u32)),
+    (Phase1b, _record(Phase1b, _vertex, _u32, _opt_u32, _optional(_proposal))),
+    (Phase2a, _record(Phase2a, _vertex, _u32, _proposal)),
+    (Phase2b, _record(Phase2b, _vertex, _u32)),
+    (Nack, _record(Nack, _vertex, _u32)),
+    (Commit, _record(Commit, _vertex, _proposal)),
+    (ClientResponse, _record(ClientResponse, _text, _u32, _flag, _optional(_blob))),
+)
 
 
 def encode_message(msg: Message) -> bytes:
-    w = _Writer()
-    tag = _TAG_OF.get(type(msg))
-    if tag is None:
-        raise WireError(f"unknown message type {type(msg).__name__}")
-    w.u8(tag)
-    if isinstance(msg, ClientRequest):
-        _write_command(w, msg.cmd)
-    elif isinstance(msg, DepRequest):
-        w.vertex(msg.v)
-        _write_payload(w, msg.cmd)
-    elif isinstance(msg, DepReply):
-        w.vertex(msg.v)
-        _write_payload(w, msg.cmd)
-        _write_deps(w, msg.deps)
-    elif isinstance(msg, ProposeRequest):
-        w.vertex(msg.v)
-        _write_proposal(w, msg.proposal)
-    elif isinstance(msg, Phase1a):
-        w.vertex(msg.v)
-        w.u32(msg.round)
-    elif isinstance(msg, Phase1b):
-        w.vertex(msg.v)
-        w.u32(msg.round)
-        _write_opt_u32(w, msg.voted_round)
-        if msg.voted_value is None:
-            w.u8(0)
-        else:
-            w.u8(1)
-            _write_proposal(w, msg.voted_value)
-    elif isinstance(msg, Phase2a):
-        w.vertex(msg.v)
-        w.u32(msg.round)
-        _write_proposal(w, msg.value)
-    elif isinstance(msg, Phase2b):
-        w.vertex(msg.v)
-        w.u32(msg.round)
-    elif isinstance(msg, Nack):
-        w.vertex(msg.v)
-        w.u32(msg.promised)
-    elif isinstance(msg, Commit):
-        w.vertex(msg.v)
-        _write_proposal(w, msg.proposal)
-    elif isinstance(msg, ClientResponse):
-        w.text(msg.client_id)
-        w.u32(msg.client_seq)
-        w.u8(1 if msg.output_available else 0)
-        if msg.output is None:
-            w.u8(0)
-        else:
-            w.u8(1)
-            w.blob(msg.output)
-    return w.done()
+    out: list = []
+    _write_message(out, msg)
+    return b"".join(out)
 
 
 def decode_message(data: bytes) -> Message:
-    r = _Reader(data)
-    tag = r.u8()
-    if not 1 <= tag <= len(_MESSAGE_TAGS):
-        raise WireError(f"unknown message tag {tag}")
-    cls = _MESSAGE_TAGS[tag - 1]
-    if cls is ClientRequest:
-        msg: Message = ClientRequest(_read_command(r))
-    elif cls is DepRequest:
-        msg = DepRequest(r.vertex(), _read_payload(r))
-    elif cls is DepReply:
-        msg = DepReply(r.vertex(), _read_payload(r), _read_deps(r))
-    elif cls is ProposeRequest:
-        msg = ProposeRequest(r.vertex(), _read_proposal(r))
-    elif cls is Phase1a:
-        msg = Phase1a(r.vertex(), r.u32())
-    elif cls is Phase1b:
-        v = r.vertex()
-        rnd = r.u32()
-        voted_round = _read_opt_u32(r)
-        voted_value = _read_proposal(r) if r.u8() else None
-        msg = Phase1b(v, rnd, voted_round, voted_value)
-    elif cls is Phase2a:
-        msg = Phase2a(r.vertex(), r.u32(), _read_proposal(r))
-    elif cls is Phase2b:
-        msg = Phase2b(r.vertex(), r.u32())
-    elif cls is Nack:
-        msg = Nack(r.vertex(), r.u32())
-    elif cls is Commit:
-        msg = Commit(r.vertex(), _read_proposal(r))
-    else:
-        client = r.text()
-        seq = r.u32()
-        available = bool(r.u8())
-        output = r.blob() if r.u8() else None
-        msg = ClientResponse(client, seq, available, output)
-    if r.pos != len(r.data):
+    return _decode(data, 0)[0]
+
+
+def _encode_frame(header: tuple[str, ...], msg: Message) -> bytes:
+    out = [b""]  # the length prefix, once the body is known
+    for name in header:
+        _write_text(out, name)
+    _write_message(out, msg)
+    out[0] = _U32.pack(sum(map(len, out)))
+    return b"".join(out)
+
+
+def _decode(body: bytes, header_names: int) -> tuple:
+    r = _Reader(body)
+    out = (*[_read_text(r) for _ in range(header_names)], _read_message(r))
+    if r.pos != len(body):
         raise WireError("trailing bytes in frame")
-    return msg
+    return out
 
 
 def encode_frame(src: str, msg: Message) -> bytes:
     """[u32 total][u32 src-len][src][message] as sent on a socket."""
-    w = _Writer()
-    w.text(src)
-    body = w.done() + encode_message(msg)
-    return struct.pack(">I", len(body)) + body
+    return _encode_frame((src,), msg)
 
 
 def decode_frame(body: bytes) -> tuple[str, Message]:
-    r = _Reader(body)
-    src = r.text()
-    return src, decode_message(body[r.pos :])
+    return _decode(body, 1)
 
 
 def encode_trace_record(src: str, dst: str, msg: Message) -> bytes:
     """Simulator trace dump record: the socket frame schema with both
     endpoints in the header, since there is no connection to imply dst."""
-    w = _Writer()
-    w.text(src)
-    w.text(dst)
-    body = w.done() + encode_message(msg)
-    return struct.pack(">I", len(body)) + body
+    return _encode_frame((src, dst), msg)
+
+
+def split_frames(data: bytes) -> tuple[list[bytes], bytes]:
+    """The bodies of the complete length-prefixed frames at the front of
+    data, and the rest: a partial frame, or b""."""
+    bodies = []
+    pos, end = 0, len(data)
+    while pos + 4 <= end:
+        (length,) = _U32.unpack_from(data, pos)
+        if pos + 4 + length > end:
+            break
+        bodies.append(data[pos + 4 : pos + 4 + length])
+        pos += 4 + length
+    return bodies, data[pos:]
 
 
 def decode_trace(data: bytes) -> list[tuple[str, str, Message]]:
-    out = []
-    pos = 0
-    while pos < len(data):
-        if pos + 4 > len(data):
-            raise WireError("truncated trace")
-        (length,) = struct.unpack(">I", data[pos : pos + 4])
-        body = data[pos + 4 : pos + 4 + length]
-        if len(body) != length:
-            raise WireError("truncated trace record")
-        r = _Reader(body)
-        src = r.text()
-        dst = r.text()
-        out.append((src, dst, decode_message(body[r.pos :])))
-        pos += 4 + length
-    return out
+    bodies, rest = split_frames(data)
+    if rest:
+        raise WireError("truncated trace record")
+    return [_decode(body, 2) for body in bodies]

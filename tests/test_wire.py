@@ -36,6 +36,7 @@ from graphsmr.wire import (
     encode_frame,
     encode_message,
     encode_trace_record,
+    split_frames,
 )
 
 vertex_ids = st.builds(VertexId, st.integers(0, 10), st.integers(0, 1000))
@@ -103,9 +104,28 @@ def test_frame_round_trip(src, msg):
     assert decode_frame(frame[4:]) == (src, msg)
 
 
-def test_tag_is_first_byte_and_stable():
-    msg = Phase1a(VertexId(0, 0), 3)
-    assert encode_message(msg)[0] == 5  # one tag byte per message type
+_PROPOSAL = Proposal(NOOP, ExactDeps(frozenset()))
+_V = VertexId(0, 0)
+
+
+@pytest.mark.parametrize("tag, msg", [
+    pytest.param(tag, msg, id=type(msg).__name__)
+    for tag, msg in enumerate([
+        ClientRequest(Command("c", 1, Get(b"k"))),
+        DepRequest(_V, NOOP),
+        DepReply(_V, NOOP, ExactDeps(frozenset())),
+        ProposeRequest(_V, _PROPOSAL),
+        Phase1a(_V, 3),
+        Phase1b(_V, 3, None, None),
+        Phase2a(_V, 3, _PROPOSAL),
+        Phase2b(_V, 3),
+        Nack(_V, 3),
+        Commit(_V, _PROPOSAL),
+        ClientResponse("c", 1, True, None),
+    ], start=1)
+])
+def test_tag_is_first_byte_and_stable(tag, msg):
+    assert encode_message(msg)[0] == tag  # one tag byte per message type
 
 
 def test_truncated_frame_rejected():
@@ -148,6 +168,55 @@ def _golden_commit(vertices) -> Commit:
 def test_exact_deps_golden_bytes():
     assert encode_message(_golden_commit(GOLDEN_DEPS)) == GOLDEN_COMMIT
     assert decode_message(GOLDEN_COMMIT) == _golden_commit(GOLDEN_DEPS)
+
+
+GOLDEN_MESSAGES = [
+    pytest.param(
+        Phase2a(VertexId(1, 2), 4, Proposal(
+            Batch((Command("c", 1, Get(b"k")), Command("d", 2, Set(b"k", b"v")))),
+            CompactDeps((3, None)),
+        )),
+        "07" "00000001" "00000002" "00000004"  # Phase2a tag, vertex (1, 2), round 4
+        "02" "00000002"  # Batch of 2 commands
+        "00000001" "63" "00000001" "00" "00000001" "6b"  # c/1 Get k
+        "00000001" "64" "00000002" "01" "00000001" "6b" "00000001" "76"  # d/2 Set k v
+        "01" "00000002"  # compact deps, 2 leaders
+        "01" "00000003"  # leader 0 up to seq 3
+        "00" "00000000",  # no dependency on leader 1
+        id="phase2a-batch-compact",
+    ),
+    pytest.param(
+        Phase1b(VertexId(0, 3), 2, None, None),
+        "06" "00000000" "00000003" "00000002"  # Phase1b tag, vertex (0, 3), round 2
+        "00" "00000000"  # no voted round
+        "00",  # no voted value
+        id="phase1b-no-vote",
+    ),
+    pytest.param(
+        Phase1b(VertexId(0, 3), 2, 1, Proposal(NOOP, ExactDeps(frozenset()))),
+        "06" "00000000" "00000003" "00000002"
+        "01" "00000001"  # voted in round 1
+        "01" "01" "00" "00000000",  # voted value: noop, empty exact deps
+        id="phase1b-vote",
+    ),
+    pytest.param(
+        ClientResponse("c", 7, False, None),
+        "0b" "00000001" "63" "00000007"  # ClientResponse tag, client c, seq 7
+        "00" "00",  # output not available, no output
+        id="client-response-no-output",
+    ),
+    pytest.param(
+        ClientResponse("c", 7, True, b"v"),
+        "0b" "00000001" "63" "00000007" "01" "01" "00000001" "76",
+        id="client-response-output",
+    ),
+]
+
+
+@pytest.mark.parametrize("msg, golden", GOLDEN_MESSAGES)
+def test_golden_bytes(msg, golden):
+    assert encode_message(msg) == bytes.fromhex(golden)
+    assert decode_message(bytes.fromhex(golden)) == msg
 
 
 def test_exact_deps_out_of_order_or_duplicate_rejected():
@@ -229,3 +298,27 @@ class TestSimulatorTraceDump:
                    "--dump-trace", str(out)])
         assert rc == 0
         assert decode_trace(out.read_bytes())
+
+
+@given(
+    st.lists(st.tuples(st.text(min_size=1, max_size=8), messages), max_size=8),
+    st.lists(st.integers(1, 64), min_size=1, max_size=16),
+)
+def test_split_frames_reassembles_a_chunked_stream(sent, chunk_sizes):
+    stream = b"".join(encode_frame(src, msg) for src, msg in sent)
+    received, buf, pos, i = [], b"", 0, 0
+    while pos < len(stream):
+        chunk = stream[pos : pos + chunk_sizes[i % len(chunk_sizes)]]
+        pos, i = pos + len(chunk), i + 1
+        frames, buf = split_frames(buf + chunk)
+        received.extend(decode_frame(frame) for frame in frames)
+    assert received == sent
+    assert buf == b""
+
+
+def test_truncated_trace_record_rejected():
+    trace = encode_trace_record("a", "b", Phase2b(VertexId(0, 0), 1)) * 2
+    assert len(decode_trace(trace)) == 2
+    for cut in (1, 5, len(trace) // 2 - 1):
+        with pytest.raises(WireError, match="truncated"):
+            decode_trace(trace[:-cut])
