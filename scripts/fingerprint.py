@@ -21,6 +21,9 @@ itself against it with --compare. The runs:
 
 Usage: python scripts/fingerprint.py [--quick] > parent.txt
        python scripts/fingerprint.py [--quick] --compare parent.txt
+
+--compare runs every run, names each one whose digest differs on stderr,
+and exits 1 if any did.
 """
 
 import argparse
@@ -95,19 +98,25 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true", help="run a small subset")
     parser.add_argument("--compare", metavar="FILE",
-                        help="exit 1 at the first run whose digest differs from FILE's")
+                        help="name every run whose digest differs from FILE's, "
+                             "then exit 1 if any did")
     args = parser.parse_args()
     expected = None
     if args.compare:
         lines = Path(args.compare).read_text().splitlines()
         expected = dict(line.split() for line in lines if line.strip())
+    runs = differing = 0
     for name, (config, workload, faults) in all_runs(args.quick):
         digest = run_fingerprint(run_simulation(config, workload, faults))
         print(f"{name} {digest}", flush=True)
+        runs += 1
         if expected is not None and expected.get(name) != digest:
+            differing += 1
             print(f"differs: {name} (expected {expected.get(name, 'no entry')})",
-                  file=sys.stderr)
-            return 1
+                  file=sys.stderr, flush=True)
+    if differing:
+        print(f"{differing} of {runs} runs differ", file=sys.stderr)
+        return 1
     return 0
 
 

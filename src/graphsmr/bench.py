@@ -12,9 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 from .core import Get, Op, Set
-from .harness.history import Record, check_history
-from .harness.mutations import NO_MUTATIONS
-from .harness.sim import SimConfig, Timeouts, role_loads, run_simulation
+from .harness.history import check_history
+from .harness.sim import SimConfig, SimResult, Timeouts, role_loads, run_simulation
+from .sockets import SocketCluster
 
 HOT_KEY = b"hotkey!!"  # eight bytes, like every key and value
 
@@ -148,48 +148,35 @@ def sim_config_for(config: BenchConfig) -> SimConfig:
         batch_size=config.batch_size,
         timeouts=timeouts,
         max_sim_ms=config.duration_ms,
-        mutations=NO_MUTATIONS,
     )
 
 
 def run_bench(config: BenchConfig) -> BenchReport:
+    """Run the configured workload on either transport, check its history,
+    then summarise the run. Raises AssertionError on a safety violation and
+    IncompleteRun if a command went unanswered. Socket runs report wall-clock
+    numbers and no role loads."""
     config.validate()
-    if config.transport == "socket":
-        from .sockets import run_socket_bench
-
-        return run_socket_bench(config)
-
     workload = generate_workload(config, random.Random(f"{config.seed}/workload"))
-    result = run_simulation(sim_config_for(config), workload)
-    latencies = result.latencies_ms()
-    loads = role_loads(result) if latencies else {}
-    return report_from(config, result.history, latencies, result.end_ms, loads)
-
-
-def report_from(
-    config: BenchConfig,
-    history: list[Record],
-    latencies: list[float],
-    elapsed_ms: float,
-    loads: dict[str, Fraction],
-) -> BenchReport:
-    """Check a run's history, then summarise the run. Raises AssertionError
-    on a safety violation and IncompleteRun if a command went unanswered."""
-    verdict = check_history(history)
+    if config.transport == "socket":
+        run = SocketCluster(sim_config_for(config), workload).run(config.duration_ms)
+    else:
+        run = run_simulation(sim_config_for(config), workload)
+    verdict = check_history(run.history)
     if not verdict.ok:
         raise AssertionError(f"bench run violated safety:\n{verdict}")
-    latencies = sorted(latencies)
+    latencies = sorted(done - sent for c in run.clients for sent, done in c.reply_times)
     commands = len(latencies)
     total = config.clients * config.commands_per_client
     if commands < total:
-        raise IncompleteRun(f"{commands}/{total} commands answered in "
-                            f"--duration-ms {config.duration_ms:g}")
-    elapsed_ms = elapsed_ms if elapsed_ms > 0 else 1.0
+        raise IncompleteRun(f"{commands}/{total} commands answered "
+                            f"within {config.duration_ms:g} ms")
+    elapsed_ms = run.end_ms if run.end_ms > 0 else 1.0
     return BenchReport(
         throughput=commands / (elapsed_ms / 1000.0),
         p50_ms=percentile(latencies, 0.50),
         p99_ms=percentile(latencies, 0.99),
-        role_loads=loads,
+        role_loads=role_loads(run) if isinstance(run, SimResult) and latencies else {},
         config=config,
         checked=True,
         commands=commands,

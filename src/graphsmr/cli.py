@@ -14,13 +14,16 @@ counterexample found, 2 = usage or configuration error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import random
 import sys
-from .bench import (CSV_HEADER, BenchConfig, IncompleteRun, bottleneck_model,
-                    generate_workload, run_bench)
+from typing import Optional
+
+from .bench import (CSV_HEADER, BenchConfig, BenchReport, IncompleteRun, bottleneck_model,
+                    generate_workload, run_bench, sim_config_for)
 from .harness.cluster import ConfigError
 from .harness.history import check_history, export_history
-from .harness.sim import Crash, LinkFault, Partition, SimConfig, run_simulation
+from .harness.sim import Crash, LinkFault, Partition, run_simulation
 from .modelcheck import ModelConfig, explore, full_conflicts, no_conflicts
 
 EXIT_OK = 0
@@ -171,65 +174,43 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_run(args) -> int:
-    from .sockets import SocketCluster
+_BENCH_FIELDS = {f.name for f in dataclasses.fields(BenchConfig)}
 
-    config = SimConfig(
-        seed=args.seed,
-        f=args.f,
-        leaders=args.leaders,
-        replicas=args.replicas,
-        coupled=args.coupled,
-        compact_deps=args.compact_deps,
-        batch_size=args.batch_size,
-    )
-    bench_cfg = BenchConfig(
-        clients=args.clients,
-        commands_per_client=args.commands_per_client,
-        conflict_rate=args.conflict_rate,
-        seed=args.seed,
-    )
-    workload = generate_workload(bench_cfg, random.Random(f"{args.seed}/workload"))
-    cluster = SocketCluster(config, workload)
-    run = cluster.run(wall_limit_ms=args.wall_limit_ms)
-    total = args.clients * args.commands_per_client
+
+def _bench_config(args, **overrides) -> BenchConfig:
+    """A subcommand's BenchConfig: flag destinations name its fields, and
+    overrides fill the fields a subcommand's flags name otherwise."""
+    fields = {k: v for k, v in vars(args).items() if k in _BENCH_FIELDS}
+    return BenchConfig(**{**fields, **overrides})
+
+
+def _checked_run(config: BenchConfig, what: str) -> Optional[BenchReport]:
+    """run_bench's report, or None after saying why the run failed."""
+    try:
+        return run_bench(config)
+    except AssertionError as exc:
+        print(f"safety check failed:\n{exc}", file=sys.stderr)
+    except IncompleteRun as exc:
+        print(f"{what} did not complete: {exc}", file=sys.stderr)
+    return None
+
+
+def cmd_run(args) -> int:
+    config = _bench_config(args, transport="socket", duration_ms=args.wall_limit_ms)
+    report = _checked_run(config, "smoke run")
+    if report is None:
+        return EXIT_VIOLATION
     print(f"cluster: f={args.f} leaders={args.leaders} replicas={args.replicas} "
           f"dep_nodes={2 * args.f + 1} acceptors={2 * args.f + 1}")
-    print(f"commands answered: {sum(c.idx for c in run.clients)}/{total} "
-          f"in {run.wall_ms:.0f} ms (wall)")
-    if not run.completed:
-        print("smoke run DID NOT complete", file=sys.stderr)
-        return EXIT_VIOLATION
+    print(f"commands answered: {report.commands}, history checked ok, "
+          f"{report.throughput:.1f} per wall second")
     return EXIT_OK
 
 
 def cmd_bench(args) -> int:
-    config = BenchConfig(
-        clients=args.clients,
-        conflict_rate=args.conflict_rate,
-        batch_size=args.batch_size,
-        commands_per_client=args.commands_per_client,
-        duration_ms=args.duration_ms,
-        f=args.f,
-        leaders=args.leaders,
-        replicas=args.replicas,
-        coupled=args.coupled,
-        thrifty=args.thrifty,
-        compact_deps=args.compact_deps,
-        seed=args.seed,
-        transport=args.transport,
-        min_delay_ms=args.min_delay_ms,
-        max_delay_ms=args.max_delay_ms,
-        service_cost_ms=args.service_cost_ms,
-        config_id=args.config_id,
-    )
-    try:
-        report = run_bench(config)
-    except AssertionError as exc:
-        print(f"safety check failed:\n{exc}", file=sys.stderr)
-        return EXIT_VIOLATION
-    except IncompleteRun as exc:
-        print(f"bench run did not complete: {exc}", file=sys.stderr)
+    config = _bench_config(args)
+    report = _checked_run(config, "bench run")
+    if report is None:
         return EXIT_VIOLATION
     row = report.csv_row()
     print(CSV_HEADER)
@@ -263,29 +244,14 @@ def _append_csv(path: str, row: str) -> None:
 
 def cmd_sim(args) -> int:
     faults = parse_fault_file(args.faults) if args.faults else []
-    config = SimConfig(
-        seed=args.seed,
-        f=args.f,
-        leaders=args.leaders,
-        replicas=args.replicas,
-        coupled=args.coupled,
-        min_delay_ms=args.min_delay_ms,
-        max_delay_ms=args.max_delay_ms,
+    bench = _bench_config(args, duration_ms=args.max_sim_ms)
+    config = dataclasses.replace(
+        sim_config_for(bench),
         drop_prob=args.drop,
         dup_prob=args.dup,
-        compact_deps=args.compact_deps,
-        thrifty=args.thrifty,
-        batch_size=args.batch_size,
-        max_sim_ms=args.max_sim_ms,
         capture_wire_trace=bool(args.dump_trace),
     )
-    bench_cfg = BenchConfig(
-        clients=args.clients,
-        commands_per_client=args.commands_per_client,
-        conflict_rate=args.conflict_rate,
-        seed=args.seed,
-    )
-    workload = generate_workload(bench_cfg, random.Random(f"{args.seed}/workload"))
+    workload = generate_workload(bench, random.Random(f"{args.seed}/workload"))
     result = run_simulation(config, workload, faults)
     if args.dump_history:
         with open(args.dump_history, "w", encoding="utf-8") as fh:

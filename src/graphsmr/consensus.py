@@ -57,12 +57,9 @@ class AcceptorSlot:
 class Acceptor:
     """Paxos acceptor, keyed per vertex. No disk; crash-stop model."""
 
-    def __init__(self, name: str, ignore_promises: bool = False) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
         self.slots: dict[VertexId, AcceptorSlot] = {}
-        # fault-injection switch: accept phase-2 messages below the promised
-        # round, used to validate that the history checker catches the bug
-        self.ignore_promises = ignore_promises
 
     def _slot(self, v: VertexId) -> AcceptorSlot:
         slot = self.slots.get(v)
@@ -79,7 +76,7 @@ class Acceptor:
 
     def handle_phase2a(self, v: VertexId, r: int, value: Proposal) -> Message:
         slot = self._slot(v)
-        if r >= slot.promised or self.ignore_promises:
+        if r >= slot.promised:
             slot.promised = max(slot.promised, r)
             slot.voted_round = r
             slot.voted_value = value

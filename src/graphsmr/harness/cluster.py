@@ -126,6 +126,11 @@ def layout(f: int, leaders: int, replicas: int, clients: int) -> ClusterLayout:
     )
 
 
+def check_probabilities(drop: float, dup: float) -> None:
+    if not (0.0 <= drop <= 1.0 and 0.0 <= dup <= 1.0):
+        raise ConfigError("probabilities must lie in [0, 1]")
+
+
 def build_cluster(config, workload: list[list[Op]]):
     """Returns (roles, machine_of, clients, layout) for a SimConfig."""
     f = config.f
@@ -136,11 +141,9 @@ def build_cluster(config, workload: list[list[Op]]):
     if config.coupled and not (config.leaders == config.replicas == 2 * f + 1):
         raise ConfigError("coupled mode fuses one node of each role: "
                           "leaders = replicas = 2f+1 required")
-    if not (0.0 <= config.drop_prob <= 1.0 and 0.0 <= config.dup_prob <= 1.0):
-        raise ConfigError("probabilities must lie in [0, 1]")
+    check_probabilities(config.drop_prob, config.dup_prob)
 
     lay = layout(f, config.leaders, config.replicas, len(workload))
-    muts = config.mutations
     t = config.timeouts
 
     roles: dict[str, object] = {}
@@ -155,12 +158,11 @@ def build_cluster(config, workload: list[list[Op]]):
             flush_ms=t.batch_flush_ms,
             retransmit_ms=t.leader_retransmit_ms,
             thrifty=config.thrifty,
-            dep_quorum_override=1 if muts.dep_quorum_one else None,
         )
     for name in lay.dep_nodes:
         roles[name] = DepServiceNode(name, config.leaders, compact=config.compact_deps)
     for name in lay.acceptors:
-        roles[name] = Acceptor(name, ignore_promises=muts.acceptor_ignores_promises)
+        roles[name] = Acceptor(name)
 
     def proposer(name: str, index: int, rng_seed: str) -> Proposer:
         return Proposer(
@@ -187,8 +189,6 @@ def build_cluster(config, workload: list[list[Op]]):
                 name, config.leaders + i, f"{config.seed}/{name}/recovery"
             ),
             recovery_timeout_ms=t.recovery_timeout_ms,
-            skip_scc_order=muts.replica_skip_scc,
-            largest_seq_only=muts.client_table_largest_only,
         )
 
     clients = []
@@ -202,6 +202,7 @@ def build_cluster(config, workload: list[list[Op]]):
         )
         roles[name] = client
         clients.append(client)
+    config.mutations.apply(roles)
 
     machine_of: dict[str, str] = {}
     if config.coupled:

@@ -23,7 +23,7 @@ from .. import wire
 from ..leader import AssignEvent
 from ..messages import Note, Send, SetTimer
 from ..replica import ReplicaPanic
-from .cluster import ConfigError, build_cluster
+from .cluster import ConfigError, build_cluster, check_probabilities
 from .history import Record
 from .mutations import Mutations, NO_MUTATIONS
 
@@ -143,6 +143,7 @@ class Simulation:
             elif isinstance(fault, Partition):
                 self.partitions.append(fault)
             elif isinstance(fault, LinkFault):
+                check_probabilities(fault.drop, fault.dup)
                 self.link_faults.append(fault)
             else:
                 raise ConfigError(f"unknown fault {fault!r}")

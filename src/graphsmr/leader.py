@@ -6,7 +6,7 @@ proposer that owns the vertex.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Union
 
 from .core import Batch, Command, Deps, Proposal, VertexId
 from .messages import (
@@ -55,7 +55,6 @@ class Leader:
         flush_ms: float = 5.0,
         retransmit_ms: float = 50.0,
         thrifty: bool = False,
-        dep_quorum_override: Optional[int] = None,
     ) -> None:
         self.name = name
         self.index = index
@@ -66,9 +65,7 @@ class Leader:
         self.flush_ms = flush_ms
         self.retransmit_ms = retransmit_ms
         self.thrifty = thrifty
-        # fault-injection switch: aggregate fewer than f+1 replies, used to
-        # validate that the history checker catches broken quorums
-        self.dep_quorum = dep_quorum_override if dep_quorum_override else f + 1
+        self.dep_quorum = f + 1
         self.next_seq = 0
         self.pending: dict[VertexId, _Pending] = {}
         self.batch_buffer: list[Command] = []
@@ -132,7 +129,8 @@ class Leader:
 
     def on_timer(self, key: tuple, now: float) -> list[Effect]:
         if key[0] == "flush":
-            return self._flush()
+            # a timer armed for a batch that has since filled is stale
+            return self._flush() if key[1] == self.next_seq else []
         if key[0] == "dep-retx":
             v = key[1]
             pending = self.pending.get(v)

@@ -112,8 +112,6 @@ class Replica:
         num_replicas: int,
         recovery_proposer: Optional[Proposer] = None,
         recovery_timeout_ms: float = 100.0,
-        skip_scc_order: bool = False,
-        largest_seq_only: bool = False,
     ) -> None:
         self.name = name
         self.index = index
@@ -125,11 +123,6 @@ class Replica:
         self.recovery_timeout_ms = recovery_timeout_ms
         self.recovery_attempts: dict[VertexId, int] = {}
         self.exec_position = 0
-        # fault-injection switches for checker validation: execute commits
-        # immediately in arrival order / use the naive largest-id-only
-        # client table rule
-        self.skip_scc_order = skip_scc_order
-        self.largest_seq_only = largest_seq_only
 
     def on_message(self, src: str, msg: Message, now: float) -> list[Effect]:
         if isinstance(msg, Commit):
@@ -159,9 +152,6 @@ class Replica:
         for dep in self.graph.waiting[v]:
             if dep not in self.graph.committed and dep not in self.recovery_attempts:
                 out.append(self._arm_recovery(dep))
-        if self.skip_scc_order:
-            out.extend(self._execute_vertex(v))
-            return out
         out.extend(self.execute_eligible())
         return out
 
@@ -223,13 +213,8 @@ class Replica:
         if isinstance(cmd, Noop):
             return [Note(ExecEvent(self.name, v, None, None, None, False, None, position))]
 
-        if self.largest_seq_only:
-            duplicate = cmd.client_seq <= self.table.highest.get(cmd.client_id, (0, None))[0]
-        else:
-            duplicate = self.table.contains(cmd.client_id, cmd.client_seq)
-
         out: list[Effect] = []
-        if duplicate:
+        if self.table.contains(cmd.client_id, cmd.client_seq):
             available, output = self.table.cached(cmd.client_id, cmd.client_seq)
             out.append(
                 Note(

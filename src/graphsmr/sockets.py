@@ -25,12 +25,10 @@ class _HistorySink:
     def __init__(self) -> None:
         self.lock = threading.Lock()
         self.records: list[Record] = []
-        self._n = 0
 
     def append(self, t: float, event) -> None:
         with self.lock:
-            self.records.append((t, self._n, event))
-            self._n += 1
+            self.records.append((t, len(self.records), event))
 
 
 class _NodeThread(threading.Thread):
@@ -143,7 +141,7 @@ class _NodeThread(threading.Thread):
 class SocketRunResult:
     history: list[Record]
     completed: bool
-    wall_ms: float
+    end_ms: float  # wall-clock time since the cluster was built
     clients: list
 
 
@@ -185,19 +183,6 @@ class SocketCluster:
         return SocketRunResult(
             history=list(self.history.records),
             completed=all(c.done for c in self.clients),
-            wall_ms=self.now_ms(),
+            end_ms=self.now_ms(),
             clients=self.clients,
         )
-
-
-def run_socket_bench(config):
-    """Socket-transport benchmark; wall-clock numbers, no determinism."""
-    import random
-
-    from .bench import generate_workload, report_from, sim_config_for
-
-    workload = generate_workload(config, random.Random(f"{config.seed}/workload"))
-    cluster = SocketCluster(sim_config_for(config), workload)
-    run = cluster.run(wall_limit_ms=config.duration_ms)
-    latencies = [done - sent for c in run.clients for sent, done in c.reply_times]
-    return report_from(config, run.history, latencies, run.wall_ms, {})

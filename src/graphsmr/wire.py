@@ -11,8 +11,10 @@ The format is written down once, as a table of codecs: a codec is a
 parts by `_record`, `_union`, `_tuple_of` and `_optional`, so the encoder
 and the decoder cannot disagree.
 
-An exact dependency set is its vertices in increasing (seq, leader) order;
-the decoder rejects any other order, so one set has exactly one encoding.
+Decoding is canonical: every value has exactly one encoding, and the
+decoder rejects any other bytes. A flag or presence byte is 0 or 1, an
+absent optional u32 has zero value bytes, and an exact dependency set is its
+vertices in increasing (seq, leader) order.
 """
 
 from __future__ import annotations
@@ -107,12 +109,22 @@ def _write_opt_u32(out: list, x: Optional[int]) -> None:
 
 def _read_opt_u32(r: _Reader) -> Optional[int]:
     present, value = _OPT_U32.unpack(r.take(5))
-    return value if present else None
+    if present == 1:
+        return value
+    if present == 0 and value == 0:
+        return None
+    raise WireError(f"non-canonical optional u32 {present}/{value}")
+
+
+def _read_bool(r: _Reader) -> bool:
+    byte = r.take(1)[0]
+    if byte > 1:
+        raise WireError(f"boolean byte {byte}, expected 0 or 1")
+    return byte == 1
 
 
 _u32: _Codec = (lambda out, x: out.append(_U32.pack(x)), _read_u32)
-_flag: _Codec = (lambda out, x: out.append(b"\x01" if x else b"\x00"),
-                 lambda r: bool(r.take(1)[0]))
+_flag: _Codec = (lambda out, x: out.append(b"\x01" if x else b"\x00"), _read_bool)
 _blob: _Codec = (_write_blob, _read_blob)
 _text: _Codec = (_write_text, _read_text)
 # always five bytes: a presence byte, then the value or zero
@@ -188,7 +200,7 @@ def _optional(codec: _Codec) -> _Codec:
             write_value(out, x)
 
     def read(r: _Reader):
-        return read_value(r) if r.take(1)[0] else None
+        return read_value(r) if _read_bool(r) else None
 
     return write, read
 

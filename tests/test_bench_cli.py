@@ -12,10 +12,11 @@ from graphsmr.bench import (
     percentile,
     run_bench,
 )
-from graphsmr import cli
+from graphsmr import bench, cli
 from graphsmr.cli import main, parse_fault_file
 from graphsmr.core import Set, conflicts, Command
-from graphsmr.harness.sim import Crash, LinkFault, Partition
+from graphsmr.harness.history import Verdict, Violation
+from graphsmr.harness.sim import Crash, LinkFault, Partition, SimConfig
 
 
 class TestWorkload:
@@ -125,6 +126,56 @@ class TestCli:
         assert rc == 0
         assert "verdict: ok" in out
 
+    def test_sim_flags_build_the_hand_written_config(self, tmp_path, monkeypatch):
+        seen = []
+        real_run_simulation = cli.run_simulation
+
+        def run_simulation(config, workload, faults):
+            seen.append((config, workload))
+            return real_run_simulation(config, workload, faults)
+
+        monkeypatch.setattr(cli, "run_simulation", run_simulation)
+        trace = tmp_path / "trace.bin"
+        rc = main(["sim", "--clients", "2", "--commands-per-client", "2", "--seed", "4",
+                   "--leaders", "3", "--conflict-rate", "0.5", "--min-delay-ms", "0.5",
+                   "--max-delay-ms", "2", "--drop", "0.1", "--dup", "0.05", "--thrifty",
+                   "--batch", "3", "--compact-deps", "--max-sim-ms", "5000",
+                   "--dump-trace", str(trace)])
+        assert rc == 0
+        [(config, workload)] = seen
+        assert config == SimConfig(
+            seed=4, f=1, leaders=3, replicas=2, coupled=False, min_delay_ms=0.5,
+            max_delay_ms=2.0, drop_prob=0.1, dup_prob=0.05, compact_deps=True,
+            thrifty=True, batch_size=3, max_sim_ms=5000.0, capture_wire_trace=True,
+        )
+        expected = BenchConfig(clients=2, commands_per_client=2, conflict_rate=0.5, seed=4)
+        assert workload == generate_workload(expected, random.Random("4/workload"))
+
+    def test_run_checks_its_history(self, monkeypatch, capsys):
+        checked = []
+        real_check = bench.check_history
+        monkeypatch.setattr(bench, "check_history",
+                            lambda history: checked.append(len(history)) or real_check(history))
+        rc = main(["run", "--clients", "2", "--commands-per-client", "2"])
+        assert rc == 0
+        assert len(checked) == 1 and checked[0] > 0
+        assert "commands answered: 4, history checked ok" in capsys.readouterr().out
+
+    def test_run_safety_violation_exit_one(self, monkeypatch, capsys):
+        violation = Violation("exactly-once", "planted")
+        monkeypatch.setattr(bench, "check_history", lambda history: Verdict(False, [violation]))
+        rc = main(["run", "--clients", "1", "--commands-per-client", "1"])
+        assert rc == 1
+        assert "exactly-once: planted" in capsys.readouterr().err
+
+    def test_run_incomplete_exit_one(self, capsys):
+        rc = main(["run", "--clients", "1", "--commands-per-client", "1",
+                   "--wall-limit-ms", "1"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert captured.out == ""
+        assert captured.err.startswith("smoke run did not complete: ")
+
     def test_check_ok_exit_zero(self, capsys):
         rc = main(["check", "--commands", "1", "--conflict", "none",
                    "--vertex-bound", "1"])
@@ -230,6 +281,15 @@ class TestCli:
         path.write_text("explode everything\n")
         rc = main(["sim", "--faults", str(path)])
         assert rc == 2
+
+    @pytest.mark.parametrize("line", ["drop *->* 1.5", "duplicate leader-0->dep-0 -0.1"])
+    def test_fault_probability_outside_unit_interval_exit_two(self, tmp_path, capsys, line):
+        path = tmp_path / "faults.txt"
+        path.write_text(line + "\n")
+        rc = main(["sim", "--clients", "2", "--commands-per-client", "2",
+                   "--faults", str(path)])
+        assert rc == 2
+        assert "config error" in capsys.readouterr().err
 
     def test_sim_with_fault_schedule(self, tmp_path, capsys):
         path = tmp_path / "faults.txt"

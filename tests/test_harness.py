@@ -292,6 +292,12 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             run_simulation(SimConfig(seed=0, drop_prob=1.5), simple_workload())
 
+    @pytest.mark.parametrize("fault", [LinkFault("*", "*", drop=1.5),
+                                       LinkFault("leader-0", "*", dup=-0.1)])
+    def test_bad_link_fault_probability_rejected(self, fault):
+        with pytest.raises(ConfigError):
+            run_simulation(SimConfig(seed=0), simple_workload(), [fault])
+
 
 class TestCheckerOnSyntheticHistories:
     """The checker must judge histories on their own terms, so feed it
@@ -533,7 +539,26 @@ def test_checker_agrees_with_pairwise_oracle(records):
     assert unlinked == Counter(pair for kind, pair in expected if kind == "dependency-invariant")
 
 
+# run_fingerprint digests of mutation_config(name, 0, ALL_MUTATIONS[name]),
+# from when the roles themselves carried the mutation switches
+MUTATION_FINGERPRINTS = {
+    "dep-quorum-one": "cf99b5acd664413cc86120564f9255b5186e9cfa2a81bafcad1b148950995141",
+    "acceptor-ignores-promises": "d3e64c01ee0a6357bec8f49fd6e7f038e52b79f6fcbc2bfe04d77fdf0c5b3fc1",
+    "replica-skip-scc": "3c53905391c4539e606e2feaed60ad2bd7d24284c24fba7f11e2507e7ecfb272",
+    "client-table-largest-only": "5c49463612dd2e5a2b49615bf91e2d6e16c7d760516c1132d5df058610e32346",
+}
+
+
 class TestMutationDetection:
+    def test_pinned_mutation_fingerprints(self):
+        """Mutations.apply breaks each rule exactly as the role switches it
+        replaced did: same histories, wire counts and end times."""
+        got = {
+            name: run_fingerprint(run_simulation(*mutation_config(name, 0, mutations)))
+            for name, mutations in ALL_MUTATIONS.items()
+        }
+        assert got == MUTATION_FINGERPRINTS
+
     @pytest.mark.parametrize("name", sorted(ALL_MUTATIONS))
     def test_mutation_caught_quickly(self, name):
         for seed in range(40):

@@ -157,4 +157,18 @@ def test_flush_timer_emits_partial_batch():
     assert len(reqs) == 3
     assert reqs[0].msg.cmd == Batch((cmd(1),))
     # nothing buffered: flush is a no-op
-    assert leader.on_timer(("flush", 0), 10.0) == []
+    assert leader.on_timer(("flush", 1), 10.0) == []
+
+
+def test_stale_flush_timer_leaves_next_batch_alone():
+    leader = make_leader(batch_size=2)
+    [first_timer] = [e for e in leader.on_message("x", ClientRequest(cmd(1)), 0.0)
+                     if isinstance(e, SetTimer)]
+    leader.on_message("x", ClientRequest(cmd(2)), 1.0)  # fills the first batch
+    effects = leader.on_message("x", ClientRequest(cmd(3)), 2.0)
+    [second_timer] = [e for e in effects if isinstance(e, SetTimer)]
+    assert first_timer.key != second_timer.key
+    assert leader.on_timer(first_timer.key, 5.0) == []
+    assert leader.batch_buffer == [cmd(3)]
+    effects = leader.on_timer(second_timer.key, 7.0)
+    assert sends(effects, DepRequest)[0].msg.cmd == Batch((cmd(3),))

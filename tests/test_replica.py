@@ -17,6 +17,7 @@ from graphsmr.core import (
     VertexId,
     conflicts,
 )
+from graphsmr.harness.mutations import Mutations
 from graphsmr.messages import ClientResponse, Send
 from graphsmr.replica import (
     ClientTable,
@@ -201,7 +202,8 @@ class TestClientTable:
         assert rep.kv == {b"y": b"1", b"x": b"1"}
 
     def test_largest_only_mutation_skips_older_id(self):
-        rep = make_replica(largest_seq_only=True)
+        rep = make_replica()
+        Mutations(client_table_largest_only=True).apply({rep.name: rep})
         rep.commit(V0, Proposal(Command("c", 2, Set(b"y", b"1")), EMPTY_DEPS), 0.0)
         out = rep.commit(V1, Proposal(Command("c", 1, Set(b"x", b"1")), EMPTY_DEPS), 1.0)
         [ev] = execs(out)

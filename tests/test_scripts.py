@@ -47,9 +47,13 @@ def test_fingerprint_quick_is_reproducible(tmp_path):
 
     (tmp_path / "same.txt").write_text(first.stdout)
     assert fingerprint("--compare", "same.txt").returncode == 0
-    name = lines[1].split()[0]
-    lines[1] = f"{name} {'0' * 64}"
+    tampered = [1, len(lines) - 1]
+    for i in tampered:
+        lines[i] = f"{lines[i].split()[0]} {'0' * 64}"
     (tmp_path / "other.txt").write_text("\n".join(lines) + "\n")
     proc = fingerprint("--compare", "other.txt")
     assert proc.returncode == 1
-    assert f"differs: {name} " in proc.stderr
+    assert proc.stdout == first.stdout  # every run still ran
+    differs = [line for line in proc.stderr.splitlines() if line.startswith("differs: ")]
+    assert [line.split()[1] for line in differs] == [lines[i].split()[0] for i in tampered]
+    assert proc.stderr.splitlines()[-1] == f"2 of {len(lines)} runs differ"

@@ -219,6 +219,38 @@ def test_golden_bytes(msg, golden):
     assert decode_message(bytes.fromhex(golden)) == msg
 
 
+@pytest.mark.parametrize("bad", [
+    pytest.param(
+        "06" "00000000" "00000003" "00000002" "00" "00000005" "00",
+        id="phase1b-absent-round-with-value-bytes",
+    ),
+    pytest.param(
+        "06" "00000000" "00000003" "00000002" "02" "00000001" "00",
+        id="phase1b-round-presence-byte-2",
+    ),
+    pytest.param(
+        "06" "00000000" "00000003" "00000002" "00" "00000000" "ff" "01" "00" "00000000",
+        id="phase1b-value-presence-byte-ff",
+    ),
+    pytest.param(
+        "07" "00000001" "00000002" "00000004"  # Phase2a, vertex (1, 2), round 4
+        "00" "00000001" "63" "00000001" "00" "00000001" "6b"  # c/1 Get k
+        "01" "00000002" "01" "00000001" "00" "00000007",  # compact deps (1, absent)
+        id="compact-deps-absent-watermark-with-value-bytes",
+    ),
+    pytest.param("0b" "00000001" "63" "00000007" "02" "00", id="client-response-flag-byte-2"),
+    pytest.param(
+        "0b" "00000001" "63" "00000007" "01" "80" "00000001" "76",
+        id="client-response-output-presence-byte-80",
+    ),
+])
+def test_non_canonical_bytes_rejected(bad):
+    """Each case differs from a valid encoding only in a flag, a presence
+    byte, or the value bytes of an absent u32."""
+    with pytest.raises(WireError, match="non-canonical|boolean byte"):
+        decode_message(bytes.fromhex(bad))
+
+
 def test_exact_deps_out_of_order_or_duplicate_rejected():
     vertices = GOLDEN_COMMIT[EXACT_DEPS_AT + 5 :]
     swapped = vertices[8:16] + vertices[:8] + vertices[16:]
