@@ -10,10 +10,19 @@ checker time from the best of CHECK_REPEATS checks of that run's history,
 each after a full garbage collection, so a collection left over from the
 previous run does not land in the next one.
 
+A second table times the wire trace codec on the worst case for it, exact
+deps at conflict rate 1.0, where every dependency set lists the whole
+history before it: a separate run captures the trace, and once its sets
+are freed (so the codec's memos start empty) decode_trace reads it back
+and encode_trace_record writes every record again. Both are reported per
+record, next to the bytes per record, so a codec cost that grows faster
+than the data shows. The trace is about 370 MB at 3200 commands.
+
 Usage: python scripts/growth.py [--sizes 200 800 3200]
 """
 
 import argparse
+import dataclasses
 import gc
 import random
 import sys
@@ -23,6 +32,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
+from graphsmr import wire
 from graphsmr.bench import BenchConfig, generate_workload, sim_config_for
 from graphsmr.harness import check_history, run_simulation
 
@@ -34,15 +44,19 @@ CHECK_REPEATS = 3
 ROWS = (("exact", 0.0), ("exact", 1.0), ("compact", 0.1), ("compact", 1.0))
 
 
-def measure(deps: str, conflict: float, commands: int) -> tuple[float, float]:
-    """(simulation wall ms per command, checker wall seconds) for one run."""
-    config = BenchConfig(
+def _config(deps: str, conflict: float, commands: int) -> BenchConfig:
+    return BenchConfig(
         clients=CLIENTS,
         commands_per_client=commands // CLIENTS,
         conflict_rate=conflict,
         compact_deps=deps == "compact",
         seed=1,
     )
+
+
+def measure(deps: str, conflict: float, commands: int) -> tuple[float, float]:
+    """(simulation wall ms per command, checker wall seconds) for one run."""
+    config = _config(deps, conflict, commands)
     workload = generate_workload(config, random.Random(f"{config.seed}/workload"))
     gc.collect()
     t0 = time.perf_counter()
@@ -61,6 +75,24 @@ def measure(deps: str, conflict: float, commands: int) -> tuple[float, float]:
     return sim_s * 1000.0 / commands, check_s
 
 
+def measure_codec(commands: int) -> tuple[float, float, float]:
+    """(trace bytes, encode us, decode us) per record of an exact-deps,
+    all-conflict run's wire trace."""
+    config = _config("exact", 1.0, commands)
+    workload = generate_workload(config, random.Random(f"{config.seed}/workload"))
+    sim_config = dataclasses.replace(sim_config_for(config), capture_wire_trace=True)
+    trace = run_simulation(sim_config, workload).wire_trace
+    gc.collect()
+    t0 = time.perf_counter()
+    records = wire.decode_trace(trace)
+    t1 = time.perf_counter()
+    for record in records:
+        wire.encode_trace_record(*record)
+    t2 = time.perf_counter()
+    n = len(records)
+    return len(trace) / n, (t2 - t1) * 1e6 / n, (t1 - t0) * 1e6 / n
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--sizes", type=int, nargs="+", default=[200, 800, 3200],
@@ -76,6 +108,13 @@ def main() -> int:
         sim = " → ".join(f"{ms:.2f}" for ms, _ in runs)
         check = " → ".join(f"{s:.4f}" for _, s in runs)
         print(f"| {deps} | {conflict} | {sim} | {check} |", flush=True)
+    print()
+    print(f"| trace codec | B/record {at} | encode us/record {at} | decode us/record {at} |")
+    print("|---|---|---|---|")
+    runs = [measure_codec(n) for n in args.sizes]
+    cells = [" → ".join(f"{run[i]:.{digits}f}" for run in runs)
+             for i, digits in ((0, 0), (1, 1), (2, 1))]
+    print(f"| exact 1.0 | {' | '.join(cells)} |")
     return 0
 
 

@@ -16,7 +16,6 @@ from .core import (
     Proposal,
     Set,
     VertexId,
-    conflicts,
 )
 
 __version__ = "0.1.0"
@@ -35,6 +34,5 @@ __all__ = [
     "Proposal",
     "Set",
     "VertexId",
-    "conflicts",
     "__version__",
 ]

@@ -245,6 +245,7 @@ def _append_csv(path: str, row: str) -> None:
 def cmd_sim(args) -> int:
     faults = parse_fault_file(args.faults) if args.faults else []
     bench = _bench_config(args, duration_ms=args.max_sim_ms)
+    bench.validate()
     config = dataclasses.replace(
         sim_config_for(bench),
         drop_prob=args.drop,
@@ -266,8 +267,11 @@ def cmd_sim(args) -> int:
           f"{len(result.history)} history events")
     if result.panic:
         print(f"replica panic: {result.panic}", file=sys.stderr)
+    if not result.completed:
+        print(f"simulation did not complete: {answered}/{total} commands answered "
+              f"within {args.max_sim_ms:g} ms", file=sys.stderr)
     print(f"verdict: {verdict}")
-    return EXIT_OK if verdict.ok and not result.panic else EXIT_VIOLATION
+    return EXIT_OK if verdict.ok and result.completed and not result.panic else EXIT_VIOLATION
 
 
 def cmd_check(args) -> int:

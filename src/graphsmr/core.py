@@ -55,10 +55,6 @@ class VertexId(NamedTuple):
         """Canonical 8-byte encoding: two unsigned 32-bit big-endian ints."""
         return self.leader_index.to_bytes(4, "big") + self.seq.to_bytes(4, "big")
 
-    @staticmethod
-    def decode(data: bytes) -> "VertexId":
-        return VertexId(int.from_bytes(data[:4], "big"), int.from_bytes(data[4:8], "big"))
-
     def owner_replica(self, num_replicas: int) -> int:
         return fnv1a64(self.encode()) % num_replicas
 
@@ -126,19 +122,6 @@ def key_access(x: Payload) -> dict[bytes, bool]:
     for key, is_write in footprint(x):
         access[key] = access.get(key, False) or is_write
     return access
-
-
-def conflicts(x: Payload, y: Payload) -> bool:
-    """True iff x and y touch a common key and at least one side writes it.
-
-    Symmetric; Noop never conflicts, two reads never conflict. Batches
-    conflict when any member pair does.
-    """
-    seen = key_access(x)
-    for key, is_write in footprint(y):
-        if key in seen and (is_write or seen[key]):
-            return True
-    return False
 
 
 # Both dependency-set formats answer `v in deps` in O(1), have a `len` (and

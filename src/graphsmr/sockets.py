@@ -20,6 +20,8 @@ from .harness.history import Record
 from .messages import Note, Send, SetTimer
 from .wire import decode_frame, encode_frame, split_frames
 
+POLL_MS = 10.0  # how often SocketCluster.run looks whether every client is done
+
 
 class _HistorySink:
     def __init__(self) -> None:
@@ -141,7 +143,7 @@ class _NodeThread(threading.Thread):
 class SocketRunResult:
     history: list[Record]
     completed: bool
-    end_ms: float  # wall-clock time since the cluster was built
+    end_ms: float  # wall-clock ms from building the cluster until its clients are done or time is up
     clients: list
 
 
@@ -173,7 +175,9 @@ class SocketCluster:
             while time.monotonic() < deadline:
                 if all(c.done for c in self.clients):
                     break
-                time.sleep(0.01)
+                time.sleep(POLL_MS / 1000.0)
+            # the run ends when its clients are done; shutdown is not run time
+            end_ms = self.now_ms()
         finally:
             self.stopping.set()
             for node in self.nodes.values():
@@ -183,6 +187,6 @@ class SocketCluster:
         return SocketRunResult(
             history=list(self.history.records),
             completed=all(c.done for c in self.clients),
-            end_ms=self.now_ms(),
+            end_ms=end_ms,
             clients=self.clients,
         )

@@ -20,9 +20,12 @@ vertices in increasing (seq, leader) order.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import operator
 import struct
 import weakref
+from array import array
+from itertools import chain
 from typing import Any, Callable, Optional
 
 from .core import (
@@ -54,7 +57,7 @@ from .messages import (
 
 _U32 = struct.Struct(">I")
 _OPT_U32 = struct.Struct(">BI")
-_LOW32 = 0xFFFFFFFF
+_VERTEX = struct.Struct(">II")
 
 
 class WireError(ValueError):
@@ -62,11 +65,16 @@ class WireError(ValueError):
 
 
 class _Reader:
-    __slots__ = ("data", "pos")
+    """A cursor over one frame body. ids interns the vertex ids read, by
+    (seq << 32) | leader; a caller decoding many frames passes one table
+    so that equal ids share one object."""
 
-    def __init__(self, data: bytes) -> None:
+    __slots__ = ("data", "pos", "ids")
+
+    def __init__(self, data: bytes, ids: dict[int, VertexId]) -> None:
         self.data = data
         self.pos = 0
+        self.ids = ids
 
     def take(self, n: int) -> bytes:
         end = self.pos + n
@@ -116,6 +124,15 @@ def _read_opt_u32(r: _Reader) -> Optional[int]:
     raise WireError(f"non-canonical optional u32 {present}/{value}")
 
 
+def _read_vertex(r: _Reader) -> VertexId:
+    leader, seq = _VERTEX.unpack(r.take(8))
+    key = (seq << 32) | leader
+    v = r.ids.get(key)
+    if v is None:
+        v = r.ids[key] = VertexId(leader, seq)
+    return v
+
+
 def _read_bool(r: _Reader) -> bool:
     byte = r.take(1)[0]
     if byte > 1:
@@ -129,7 +146,7 @@ _blob: _Codec = (_write_blob, _read_blob)
 _text: _Codec = (_write_text, _read_text)
 # always five bytes: a presence byte, then the value or zero
 _opt_u32: _Codec = (_write_opt_u32, _read_opt_u32)
-_vertex: _Codec = (lambda out, v: out.append(v.encode()), lambda r: VertexId.decode(r.take(8)))
+_vertex: _Codec = (lambda out, v: out.append(v.encode()), _read_vertex)
 _noop: _Codec = (lambda out, x: None, lambda r: NOOP)
 
 
@@ -206,20 +223,27 @@ def _optional(codec: _Codec) -> _Codec:
 
 
 # Exact dependency sets grow with the history and one set rides on many
-# messages, so its bytes are kept per set. A value is a pure function of its
-# key, so every caller may share the memo; weak keys drop an entry once no
-# message, proposal or history record holds the set.
+# messages, so each distinct set is packed once and unpacked once. A value is
+# a pure function of its key, so every caller may share the memos, and both
+# are weak: the encoder's keys and the decoder's values are the sets, so an
+# entry goes once no message, proposal or history record holds its set.
 _exact_deps_bytes: "weakref.WeakKeyDictionary[ExactDeps, bytes]" = weakref.WeakKeyDictionary()
+_exact_deps_read: "weakref.WeakValueDictionary[bytes, ExactDeps]" = weakref.WeakValueDictionary()
 
 
 def _encode_exact_deps(deps: ExactDeps) -> bytes:
     """The count, then (leader u32, seq u32) per vertex in increasing
-    (seq, leader) order. Leader indices are positions in the cluster's
-    leader list, far below 2**32, so (seq << 32) | leader sorts in that
-    order and splits back into the two fields."""
-    keys = sorted([(v.seq << 32) | v.leader_index for v in deps.vertices])
-    fields = [x for k in keys for x in (k & _LOW32, k >> 32)]
-    return struct.pack(f">I{len(fields)}I", len(keys), *fields)
+    (seq, leader) order, without a Python step per vertex. A (leader, seq)
+    pair packed as little-endian u32s reads back as the little-endian u64
+    (seq << 32) | leader, so one sort of those keys puts the vertices in
+    order. Packed back the same way, reversing the bytes of every u32 makes
+    each field big-endian, whatever the host's byte order."""
+    n = len(deps.vertices)
+    packed = struct.pack(f"<{2 * n}I", *chain.from_iterable(deps.vertices))
+    keys = sorted(struct.unpack(f"<{n}Q", packed))
+    pairs = array("I", struct.pack(f"<{n}Q", *keys))
+    pairs.byteswap()
+    return _U32.pack(n) + pairs.tobytes()
 
 
 def _write_exact_deps(out: list, deps: ExactDeps) -> None:
@@ -230,13 +254,22 @@ def _write_exact_deps(out: list, deps: ExactDeps) -> None:
 
 
 def _read_exact_deps(r: _Reader) -> ExactDeps:
-    n = 2 * _read_u32(r)
-    fields = struct.unpack(f">{n}I", r.take(4 * n))
-    leaders, seqs = fields[0::2], fields[1::2]
-    keys = [(seq << 32) | leader for leader, seq in zip(leaders, seqs)]
-    if not all(map(operator.lt, keys, keys[1:])):
-        raise WireError("exact deps not in strictly increasing (seq, leader) order")
-    return ExactDeps(frozenset(map(VertexId, leaders, seqs)))
+    n = _read_u32(r)
+    data = r.take(8 * n)
+    deps = _exact_deps_read.get(data)
+    if deps is None:
+        # only bytes that pass the order check enter the memo, so a hit is
+        # canonical too
+        fields = struct.unpack(f">{2 * n}I", data)
+        keys = [(seq << 32) | leader for leader, seq in zip(fields[0::2], fields[1::2])]
+        if not all(map(operator.lt, keys, keys[1:])):
+            raise WireError("exact deps not in strictly increasing (seq, leader) order")
+        ids = r.ids
+        for key in keys:
+            if key not in ids:
+                ids[key] = VertexId(key & 0xFFFFFFFF, key >> 32)
+        deps = _exact_deps_read[data] = ExactDeps(frozenset(map(ids.__getitem__, keys)))
+    return deps
 
 
 _command = _record(Command, _text, _u32, _union(
@@ -279,20 +312,30 @@ def encode_message(msg: Message) -> bytes:
 
 
 def decode_message(data: bytes) -> Message:
-    return _decode(data, 0)[0]
+    return _decode(data, 0, {})[0]
 
 
-def _encode_frame(header: tuple[str, ...], msg: Message) -> bytes:
-    out = [b""]  # the length prefix, once the body is known
-    for name in header:
+@functools.lru_cache(maxsize=4096)
+def _header(*names: str) -> bytes:
+    """The names in a frame's header. A cluster of n nodes has at most n * n
+    endpoint pairs, so a run reuses a few headers for all its frames; node
+    names are strings, which cannot be weakly referenced, so the cache is
+    bounded instead."""
+    out: list = []
+    for name in names:
         _write_text(out, name)
+    return b"".join(out)
+
+
+def _encode_frame(header: bytes, msg: Message) -> bytes:
+    out = [b"", header]  # the length prefix, once the body is known
     _write_message(out, msg)
     out[0] = _U32.pack(sum(map(len, out)))
     return b"".join(out)
 
 
-def _decode(body: bytes, header_names: int) -> tuple:
-    r = _Reader(body)
+def _decode(body: bytes, header_names: int, ids: dict[int, VertexId]) -> tuple:
+    r = _Reader(body, ids)
     out = (*[_read_text(r) for _ in range(header_names)], _read_message(r))
     if r.pos != len(body):
         raise WireError("trailing bytes in frame")
@@ -301,17 +344,17 @@ def _decode(body: bytes, header_names: int) -> tuple:
 
 def encode_frame(src: str, msg: Message) -> bytes:
     """[u32 total][u32 src-len][src][message] as sent on a socket."""
-    return _encode_frame((src,), msg)
+    return _encode_frame(_header(src), msg)
 
 
 def decode_frame(body: bytes) -> tuple[str, Message]:
-    return _decode(body, 1)
+    return _decode(body, 1, {})
 
 
 def encode_trace_record(src: str, dst: str, msg: Message) -> bytes:
     """Simulator trace dump record: the socket frame schema with both
     endpoints in the header, since there is no connection to imply dst."""
-    return _encode_frame((src, dst), msg)
+    return _encode_frame(_header(src, dst), msg)
 
 
 def split_frames(data: bytes) -> tuple[list[bytes], bytes]:
@@ -332,4 +375,5 @@ def decode_trace(data: bytes) -> list[tuple[str, str, Message]]:
     bodies, rest = split_frames(data)
     if rest:
         raise WireError("truncated trace record")
-    return [_decode(body, 2) for body in bodies]
+    ids: dict[int, VertexId] = {}
+    return [_decode(body, 2, ids) for body in bodies]

@@ -1,7 +1,8 @@
 """Shared fuzz machinery for harness and acceptance tests: seeded random
 workloads, crash schedules bounded by f per role, per-mutation sim
 configurations tuned so each one trips its violation quickly, a digest of
-everything a run produced, and reference oracles for optimised code."""
+everything a run produced, and reference oracles for optimised code and for
+the conflict relation."""
 
 from __future__ import annotations
 
@@ -9,12 +10,18 @@ import hashlib
 import random
 
 from graphsmr.consensus import ChosenEvent
-from graphsmr.core import Get, Op, Set, VertexId, footprint
+from graphsmr.core import Get, Op, Payload, Set, VertexId, footprint
 from graphsmr.harness import Crash, SimConfig, Timeouts, export_history
 from graphsmr.harness.mutations import Mutations
 from graphsmr.replica import CommitSeen, ExecEvent, _tarjan_sccs
 
 HOT = b"hotkey!!"
+
+
+def conflicts(x: Payload, y: Payload) -> bool:
+    """The conflict relation, pair by pair from each side's footprint: x and
+    y touch a common key and at least one of them writes it."""
+    return any(kx == ky and (wx or wy) for kx, wx in footprint(x) for ky, wy in footprint(y))
 
 
 def random_workload(

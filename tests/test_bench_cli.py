@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from fuzz_helpers import conflicts
 from graphsmr.bench import (
     CSV_HEADER,
     BenchConfig,
@@ -14,7 +15,7 @@ from graphsmr.bench import (
 )
 from graphsmr import bench, cli
 from graphsmr.cli import main, parse_fault_file
-from graphsmr.core import Set, conflicts, Command
+from graphsmr.core import Set, Command
 from graphsmr.harness.history import Verdict, Violation
 from graphsmr.harness.sim import Crash, LinkFault, Partition, SimConfig
 
@@ -125,6 +126,23 @@ class TestCli:
         out = capsys.readouterr().out
         assert rc == 0
         assert "verdict: ok" in out
+
+    @pytest.mark.parametrize("flags", [["--conflict-rate", "1.5"], ["--clients", "0"]],
+                             ids=["conflict-rate", "clients"])
+    def test_sim_invalid_config_exit_two(self, flags, capsys):
+        rc = main(["sim", "--commands-per-client", "2", *flags])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("config error: ")
+
+    def test_sim_incomplete_run_exit_one(self, capsys):
+        rc = main(["sim", "--clients", "2", "--commands-per-client", "5", "--max-sim-ms", "3"])
+        captured = capsys.readouterr()
+        assert rc == 1
+        assert "verdict: ok" in captured.out
+        assert captured.err.startswith("simulation did not complete: ")
+        assert "/10 commands answered within 3 ms" in captured.err
 
     def test_sim_flags_build_the_hand_written_config(self, tmp_path, monkeypatch):
         seen = []

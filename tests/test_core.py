@@ -1,6 +1,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from fuzz_helpers import conflicts
 from graphsmr.core import (
     NOOP,
     Batch,
@@ -11,8 +12,8 @@ from graphsmr.core import (
     Set,
     VertexId,
     WatermarkSet,
-    conflicts,
     fnv1a64,
+    key_access,
 )
 
 
@@ -21,37 +22,43 @@ def cmd(op, client="c", seq=1):
 
 
 class TestConflicts:
+    """Two payloads conflict iff they share a key that one of them writes;
+    the dependency service and the checker read that from key_access."""
+
     def test_write_read_same_key(self):
-        assert conflicts(cmd(Set(b"a", b"0")), cmd(Get(b"a")))
+        assert key_access(Batch((cmd(Set(b"a", b"0")), cmd(Get(b"a"))))) == {b"a": True}
 
     def test_two_reads_commute(self):
-        assert not conflicts(cmd(Get(b"a")), cmd(Get(b"a")))
+        assert key_access(Batch((cmd(Get(b"a")), cmd(Get(b"a"))))) == {b"a": False}
 
     def test_noop_conflicts_with_nothing(self):
-        assert not conflicts(NOOP, cmd(Set(b"a", b"0")))
-        assert not conflicts(cmd(Set(b"a", b"0")), NOOP)
-        assert not conflicts(NOOP, NOOP)
+        assert key_access(NOOP) == {}
 
     def test_different_keys(self):
-        assert not conflicts(cmd(Set(b"a", b"0")), cmd(Set(b"b", b"0")))
+        assert key_access(cmd(Set(b"a", b"0"))).keys().isdisjoint(key_access(cmd(Set(b"b", b"0"))))
 
     def test_batch_footprint_is_union(self):
         b = Batch((cmd(Get(b"a")), cmd(Set(b"b", b"1"))))
-        assert conflicts(b, cmd(Set(b"a", b"2")))
-        assert conflicts(b, cmd(Get(b"b")))
-        assert not conflicts(b, cmd(Get(b"c")))
+        assert key_access(b) == {b"a": False, b"b": True}
 
 
 ops = st.one_of(
     st.builds(Get, st.binary(min_size=1, max_size=2)),
     st.builds(Set, st.binary(min_size=1, max_size=2), st.binary(max_size=2)),
 )
-payloads = st.one_of(st.just(NOOP), st.builds(cmd, ops))
+commands = st.builds(cmd, ops)
+payloads = st.one_of(
+    st.just(NOOP), commands, st.lists(commands, min_size=1, max_size=3).map(lambda c: Batch(tuple(c)))
+)
 
 
 @given(payloads, payloads)
 def test_conflicts_symmetric(x, y):
-    assert conflicts(x, y) == conflicts(y, x)
+    """The conflict relation read off key_access, as the dependency service
+    reads it, is symmetric and agrees with the pairwise oracle."""
+    ax, ay = key_access(x), key_access(y)
+    via_key_access = any(key in ay and (writes or ay[key]) for key, writes in ax.items())
+    assert via_key_access == conflicts(x, y) == conflicts(y, x)
 
 
 vertex_ids = st.builds(VertexId, st.integers(0, 3), st.integers(0, 5))
@@ -211,9 +218,7 @@ def test_noop_proposal_must_have_empty_deps():
 
 class TestEncoding:
     def test_vertex_id_round_trip(self):
-        v = VertexId(3, 70000)
-        assert VertexId.decode(v.encode()) == v
-        assert len(v.encode()) == 8
+        assert VertexId(3, 70000).encode() == bytes.fromhex("00000003" "00011170")
 
     def test_fnv1a64_known_vectors(self):
         # reference values for the standard FNV-1a 64-bit parameters

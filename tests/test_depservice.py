@@ -2,6 +2,7 @@ import itertools
 
 from hypothesis import given, strategies as st
 
+from fuzz_helpers import conflicts
 from graphsmr.core import (
     Command,
     CompactDeps,
@@ -9,7 +10,6 @@ from graphsmr.core import (
     Get,
     Set,
     VertexId,
-    conflicts,
 )
 from graphsmr.depservice import DepServiceNode
 from graphsmr.messages import DepReply, DepRequest, Send

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fuzz_helpers import (
-    fuzz_config, mutation_config, pairwise_conflict_violations, random_workload, run_fingerprint,
+    conflicts, fuzz_config, mutation_config, pairwise_conflict_violations, random_workload,
+    run_fingerprint,
 )
 from graphsmr.core import (
     Batch, Get, NOOP, NOOP_PROPOSAL, Proposal, Set, VertexId, CompactDeps, ExactDeps,
-    EMPTY_DEPS, Command, conflicts,
+    EMPTY_DEPS, Command,
 )
 from graphsmr.harness import (
     ALL_MUTATIONS,

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fuzz_helpers import reference_execute_eligible
+from fuzz_helpers import conflicts, reference_execute_eligible
 from graphsmr.core import (
     Batch,
     Command,
@@ -15,7 +15,6 @@ from graphsmr.core import (
     Proposal,
     Set,
     VertexId,
-    conflicts,
 )
 from graphsmr.harness.mutations import Mutations
 from graphsmr.messages import ClientResponse, Send

@@ -23,11 +23,18 @@ def test_growth_prints_one_row_per_deps_and_conflict_rate(tmp_path):
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    header, rule, *rows = proc.stdout.splitlines()
+    growth, codec = proc.stdout.split("\n\n")
+    header, rule, *rows = growth.splitlines()
     assert header == "| deps | conflict | sim ms/cmd @20 → @40 | checker s @20 → @40 |"
     assert [row.split(" | ")[:2] for row in rows] == [
         ["| exact", "0.0"], ["| exact", "1.0"], ["| compact", "0.1"], ["| compact", "1.0"],
     ]
+    header, rule, row = codec.splitlines()
+    assert header == ("| trace codec | B/record @20 → @40 | encode us/record @20 → @40 "
+                      "| decode us/record @20 → @40 |")
+    name, *cells = row.strip("| ").split(" | ")
+    assert name == "exact 1.0"
+    assert all(float(x) > 0 for cell in cells for x in cell.split(" → "))
 
 
 def test_fingerprint_quick_is_reproducible(tmp_path):

@@ -5,7 +5,7 @@ unchanged over real sockets."""
 from graphsmr.core import Get, Set
 from graphsmr.harness.history import check_history
 from graphsmr.harness.sim import SimConfig
-from graphsmr.sockets import SocketCluster
+from graphsmr.sockets import POLL_MS, SocketCluster
 
 
 def test_socket_cluster_smoke():
@@ -35,3 +35,15 @@ def test_socket_bench_reports():
     assert report.checked
     assert report.p50_ms <= report.p99_ms
     assert report.throughput > 0
+
+
+def test_end_ms_is_stamped_when_the_clients_are_done():
+    """Throughput counts the run, not the shutdown: the end is stamped at
+    the first poll after the last reply. The node threads then take up to
+    their 50 ms inbox timeout to stop, which end_ms must not include. The
+    5 ms allow a late wake-up of the polling thread."""
+    workload = [[Set(b"k", b"1"), Get(b"k")], [Set(b"j", b"2")]]
+    run = SocketCluster(SimConfig(seed=0), workload).run(wall_limit_ms=20_000)
+    assert run.completed
+    last_reply = max(done for c in run.clients for _sent, done in c.reply_times)
+    assert last_reply <= run.end_ms <= last_reply + POLL_MS + 5.0

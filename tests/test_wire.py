@@ -1,4 +1,5 @@
 import gc
+import struct
 
 import pytest
 from hypothesis import given, strategies as st
@@ -285,6 +286,74 @@ def test_exact_deps_memo_holds_no_strong_reference():
     del msg
     gc.collect()
     assert len(wire._exact_deps_bytes) == before
+
+
+def _reference_exact_deps(deps: ExactDeps) -> bytes:
+    vertices = sorted(deps.vertices, key=lambda v: (v.seq, v.leader_index))
+    fields = [x for v in vertices for x in (v.leader_index, v.seq)]
+    return struct.pack(f">I{len(fields)}I", len(vertices), *fields)
+
+
+u32s = st.integers(0, 2**32 - 1)
+
+
+@given(st.frozensets(st.builds(VertexId, u32s, u32s), max_size=40))
+def test_exact_deps_packing_matches_a_plain_sort(vertices):
+    deps = ExactDeps(vertices)
+    assert wire._encode_exact_deps(deps) == _reference_exact_deps(deps)
+
+
+@given(st.text(max_size=8), st.text(max_size=8), messages)
+def test_trace_record_is_header_then_message(src, dst, msg):
+    names = b"".join(len(n.encode()).to_bytes(4, "big") + n.encode() for n in (src, dst))
+    body = names + encode_message(msg)
+    expected = len(body).to_bytes(4, "big") + body
+    # the second call reuses the memoised header
+    assert encode_trace_record(src, dst, msg) == encode_trace_record(src, dst, msg) == expected
+
+
+def _distinct_commit(seq: int) -> bytes:
+    """A Commit whose exact deps no other test decodes."""
+    deps = [VertexId(7, 900_000 + seq), VertexId(3, 900_000 + seq), VertexId(7, 1)]
+    return encode_message(Commit(VertexId(7, seq), Proposal(Command("m", seq, Get(b"k")), ExactDeps(frozenset(deps)))))
+
+
+def test_equal_exact_deps_decode_to_one_shared_set():
+    data = _distinct_commit(1)
+    first, second = decode_message(data), decode_message(data)
+    assert first == second and first is not second
+    assert first.proposal.deps is second.proposal.deps
+    [(_, _, a), (_, _, b)] = decode_trace(encode_trace_record("a", "b", first) * 2)
+    assert a.proposal.deps is b.proposal.deps is first.proposal.deps
+
+
+def test_reordered_set_is_rejected_after_its_canonical_bytes_decoded():
+    decode_message(GOLDEN_COMMIT)
+    vertices = GOLDEN_COMMIT[EXACT_DEPS_AT + 5 :]
+    swapped = vertices[8:16] + vertices[:8] + vertices[16:]
+    for _ in range(2):  # a rejected set must not be remembered either
+        with pytest.raises(WireError, match="increasing"):
+            decode_message(GOLDEN_COMMIT[:EXACT_DEPS_AT] + b"\x00\x00\x00\x00\x04" + swapped)
+
+
+def test_decoded_exact_deps_memo_holds_no_strong_reference():
+    gc.collect()
+    before = len(wire._exact_deps_read)
+    msg = decode_message(_distinct_commit(2))
+    assert len(wire._exact_deps_read) == before + 1
+    del msg
+    gc.collect()
+    assert len(wire._exact_deps_read) == before
+
+
+def test_decode_trace_shares_equal_vertex_ids():
+    v = VertexId(2, 777_777)
+    deps = ExactDeps(frozenset({v, VertexId(0, 1)}))
+    trace = encode_trace_record("a", "b", Phase2b(v, 1)) + encode_trace_record(
+        "a", "b", Commit(VertexId(1, 41), Proposal(Command("c", 1, Get(b"k")), deps)))
+    [(_, _, phase2b), (_, _, commit)] = decode_trace(trace)
+    [shared] = [u for u in commit.proposal.deps.vertices if u == v]
+    assert phase2b.v is shared
 
 
 class TestSimulatorTraceDump:
