@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import ceil
 from .core import Get, Op, Set
+from .harness.cluster import check_delays
 from .harness.history import check_history
 from .harness.sim import SimConfig, SimResult, Timeouts, role_loads, run_simulation
 from .sockets import SocketCluster
@@ -50,6 +51,7 @@ class BenchConfig:
             raise ValueError("batch_size must be >= 1")
         if self.transport not in ("sim", "socket"):
             raise ValueError(f"unknown transport {self.transport!r}")
+        check_delays(self.min_delay_ms, self.max_delay_ms, self.service_cost_ms)
 
 
 class IncompleteRun(Exception):

@@ -131,6 +131,13 @@ def check_probabilities(drop: float, dup: float) -> None:
         raise ConfigError("probabilities must lie in [0, 1]")
 
 
+def check_delays(min_delay_ms: float, max_delay_ms: float, service_cost_ms: float) -> None:
+    if not 0.0 <= min_delay_ms <= max_delay_ms:
+        raise ConfigError("delays must satisfy 0 <= min_delay_ms <= max_delay_ms")
+    if not service_cost_ms >= 0.0:
+        raise ConfigError("service_cost_ms must be >= 0")
+
+
 def build_cluster(config, workload: list[list[Op]]):
     """Returns (roles, machine_of, clients, layout) for a SimConfig."""
     f = config.f
@@ -142,6 +149,7 @@ def build_cluster(config, workload: list[list[Op]]):
         raise ConfigError("coupled mode fuses one node of each role: "
                           "leaders = replicas = 2f+1 required")
     check_probabilities(config.drop_prob, config.dup_prob)
+    check_delays(config.min_delay_ms, config.max_delay_ms, config.service_cost_ms)
 
     lay = layout(f, config.leaders, config.replicas, len(workload))
     t = config.timeouts

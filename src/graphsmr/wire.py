@@ -23,10 +23,13 @@ import dataclasses
 import functools
 import operator
 import struct
+import threading
 import weakref
 from array import array
+from bisect import bisect_left
+from collections import deque
 from itertools import chain
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 from .core import (
     Batch,
@@ -227,29 +230,89 @@ def _optional(codec: _Codec) -> _Codec:
 # a pure function of its key, so every caller may share the memos, and both
 # are weak: the encoder's keys and the decoder's values are the sets, so an
 # entry goes once no message, proposal or history record holds its set.
+#
+# A new set is mostly an earlier set plus a vertex or two, so the encoder
+# also keeps a ring of weak references to the last sets it packed, and packs
+# a new set by inserting what it adds into the bytes of the largest of them
+# it contains. The bytes are a function of the set alone, so which earlier
+# set was used, if any, cannot change them. Socket node threads encode
+# concurrently, so the ring is read and written under a lock.
 _exact_deps_bytes: "weakref.WeakKeyDictionary[ExactDeps, bytes]" = weakref.WeakKeyDictionary()
 _exact_deps_read: "weakref.WeakValueDictionary[bytes, ExactDeps]" = weakref.WeakValueDictionary()
+_recent: "deque[weakref.ref[ExactDeps]]" = deque(maxlen=16)
+_recent_lock = threading.Lock()
 
 
-def _encode_exact_deps(deps: ExactDeps) -> bytes:
-    """The count, then (leader u32, seq u32) per vertex in increasing
-    (seq, leader) order, without a Python step per vertex. A (leader, seq)
-    pair packed as little-endian u32s reads back as the little-endian u64
-    (seq << 32) | leader, so one sort of those keys puts the vertices in
-    order. Packed back the same way, reversing the bytes of every u32 makes
-    each field big-endian, whatever the host's byte order."""
-    n = len(deps.vertices)
-    packed = struct.pack(f"<{2 * n}I", *chain.from_iterable(deps.vertices))
+def _sort_from_scratch(vertices: frozenset[VertexId]) -> bytes:
+    """A (leader, seq) pair packed as little-endian u32s reads back as the
+    little-endian u64 (seq << 32) | leader, so one sort of those keys puts
+    the vertices in order. Packed back the same way, reversing the bytes of
+    every u32 makes each field big-endian, whatever the host's byte order.
+    No Python step runs per vertex."""
+    n = len(vertices)
+    packed = struct.pack(f"<{2 * n}I", *chain.from_iterable(vertices))
     keys = sorted(struct.unpack(f"<{n}Q", packed))
     pairs = array("I", struct.pack(f"<{n}Q", *keys))
     pairs.byteswap()
     return _U32.pack(n) + pairs.tobytes()
 
 
+def _nearest_packed_subset(vertices: frozenset[VertexId]) -> Optional[tuple[ExactDeps, bytes]]:
+    """The largest recently packed set that is a subset of vertices and at
+    least half its size, with its bytes; or None."""
+    with _recent_lock:
+        recent = list(_recent)
+    n = len(vertices)
+    best, best_len = None, (n - 1) // 2  # so a parent holds at least half
+    for ref in reversed(recent):  # newest first, so mostly the largest first
+        parent = ref()
+        if parent is not None and best_len < len(parent.vertices) <= n and parent.vertices <= vertices:
+            best, best_len = parent, len(parent.vertices)
+    # a live set's entry can be gone: two threads that pack equal sets share
+    # one entry, which goes with the first of them to be freed
+    data = None if best is None else _exact_deps_bytes.get(best)
+    return None if data is None else (best, data)
+
+
+def _insert_sorted(data: bytes, vertices: Iterable[VertexId]) -> bytes:
+    """Packed set data plus vertices it lacks. Each goes to its place by a
+    binary search over the packed pairs, so the pairs already in order are
+    neither unpacked nor sorted again."""
+    out = bytearray(data)
+
+    def order(i: int) -> tuple[int, int]:
+        leader, seq = _VERTEX.unpack_from(out, 4 + 8 * i)
+        return seq, leader
+
+    at = 0  # the vertices go in increasing order, each after the last
+    for v in sorted(vertices, key=lambda v: (v.seq, v.leader_index)):
+        at = bisect_left(range((len(out) - 4) // 8), (v.seq, v.leader_index), lo=at, key=order)
+        out[4 + 8 * at : 4 + 8 * at] = v.encode()
+        at += 1
+    out[:4] = _U32.pack((len(out) - 4) // 8)
+    return bytes(out)
+
+
+def _encode_exact_deps(deps: ExactDeps) -> bytes:
+    """The count, then (leader u32, seq u32) per vertex in increasing
+    (seq, leader) order. Memoises the bytes and puts the set in the ring."""
+    vertices = deps.vertices
+    nearest = _nearest_packed_subset(vertices)
+    if nearest is None:
+        data = _sort_from_scratch(vertices)
+    else:
+        parent, parent_data = nearest
+        data = _insert_sorted(parent_data, vertices - parent.vertices)
+    _exact_deps_bytes[deps] = data
+    with _recent_lock:
+        _recent.append(weakref.ref(deps))
+    return data
+
+
 def _write_exact_deps(out: list, deps: ExactDeps) -> None:
     data = _exact_deps_bytes.get(deps)
     if data is None:
-        data = _exact_deps_bytes[deps] = _encode_exact_deps(deps)
+        data = _encode_exact_deps(deps)
     out.append(data)
 
 

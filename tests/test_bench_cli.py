@@ -119,6 +119,15 @@ class TestRunBench:
         with pytest.raises(ValueError):
             run_bench(BenchConfig(conflict_rate=1.5))
 
+    @pytest.mark.parametrize("delays", [
+        dict(min_delay_ms=-1.0, max_delay_ms=1.0),
+        dict(min_delay_ms=3.0, max_delay_ms=2.0),
+        dict(service_cost_ms=-0.5),
+    ], ids=["negative-delay", "inverted-delays", "negative-service-cost"])
+    def test_bad_delays_rejected(self, delays):
+        with pytest.raises(ValueError, match="delay|service_cost"):
+            BenchConfig(**delays).validate()
+
 
 class TestCli:
     def test_sim_ok_exit_zero(self, capsys):
@@ -127,13 +136,21 @@ class TestCli:
         assert rc == 0
         assert "verdict: ok" in out
 
-    @pytest.mark.parametrize("flags", [["--conflict-rate", "1.5"], ["--clients", "0"]],
-                             ids=["conflict-rate", "clients"])
+    @pytest.mark.parametrize("flags", [["--conflict-rate", "1.5"], ["--clients", "0"],
+                                       ["--min-delay-ms", "-2"],
+                                       ["--min-delay-ms", "3", "--max-delay-ms", "2"]],
+                             ids=["conflict-rate", "clients", "negative-delay", "inverted-delays"])
     def test_sim_invalid_config_exit_two(self, flags, capsys):
         rc = main(["sim", "--commands-per-client", "2", *flags])
         captured = capsys.readouterr()
         assert rc == 2
         assert captured.out == ""
+        assert captured.err.startswith("config error: ")
+
+    def test_bench_negative_service_cost_exit_two(self, capsys):
+        rc = main(["bench", "--commands-per-client", "2", "--service-cost-ms", "-1"])
+        captured = capsys.readouterr()
+        assert rc == 2
         assert captured.err.startswith("config error: ")
 
     def test_sim_incomplete_run_exit_one(self, capsys):

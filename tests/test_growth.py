@@ -2,15 +2,19 @@
 node, the replica's commit path and the checker must not grow with the
 history. Each guard counts work, not time, by wrapping a method for the
 length of one run, and compares a 200-command run with a 3200-command run
-of the same all-conflict workload. A last guard bounds the replica's
-executed-id state after a long conflict-free run."""
+of the same all-conflict workload. The wire trace's exact-deps packing is
+guarded the same way, at 200 and 800 commands, since its trace is about
+370 MB at 3200. A last guard bounds the replica's executed-id state after a
+long conflict-free run."""
 
+import dataclasses
 import random
 from collections import Counter
 from unittest.mock import patch
 
 import pytest
 
+from graphsmr import wire
 from graphsmr.bench import BenchConfig, generate_workload, sim_config_for
 from graphsmr.core import CommitGraph, CompactDeps, Noop
 from graphsmr.depservice import DepServiceNode
@@ -100,6 +104,44 @@ def test_checker_probes_do_not_grow_with_history(work):
     small, large = per(work, "probes", "vertices")
     assert large <= 1.5 * small
 
+
+def count_packing(commands):
+    """New exact dependency sets packed, and the vertices sorted from
+    scratch to pack them, in one traced all-conflict run."""
+    config = BenchConfig(
+        clients=10,
+        commands_per_client=commands // 10,
+        conflict_rate=1.0,
+        min_delay_ms=1.0,
+        max_delay_ms=3.0,
+        seed=1,
+    )
+    workload = generate_workload(config, random.Random(f"{config.seed}/workload"))
+    tally = Counter()
+    encode, sort = wire._encode_exact_deps, wire._sort_from_scratch
+
+    def counted_encode(deps):
+        tally["sets"] += 1
+        return encode(deps)
+
+    def counted_sort(vertices):
+        tally["sorted"] += len(vertices)
+        return sort(vertices)
+
+    with patch.object(wire, "_encode_exact_deps", counted_encode), \
+            patch.object(wire, "_sort_from_scratch", counted_sort):
+        sim_config = dataclasses.replace(sim_config_for(config), capture_wire_trace=True)
+        result = run_simulation(sim_config, workload)
+    assert result.completed and result.wire_trace
+    return tally
+
+
+def test_exact_deps_packing_does_not_grow_with_history():
+    """Each new set is packed by inserting what it adds into a set packed
+    before it, so the vertices sorted from scratch per set stay flat while
+    the sets grow with the history."""
+    small, large = (t["sorted"] / t["sets"] for t in map(count_packing, (200, 800)))
+    assert large <= 1.5 * small
 
 
 def test_executed_state_is_bounded_by_the_gap():

@@ -299,6 +299,15 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             run_simulation(SimConfig(seed=0), simple_workload(), [fault])
 
+    @pytest.mark.parametrize("delays", [
+        dict(min_delay_ms=-1.0, max_delay_ms=1.0),
+        dict(min_delay_ms=3.0, max_delay_ms=2.0),
+        dict(service_cost_ms=-0.5),
+    ], ids=["negative-delay", "inverted-delays", "negative-service-cost"])
+    def test_bad_delays_rejected(self, delays):
+        with pytest.raises(ConfigError, match="delay|service_cost"):
+            run_simulation(SimConfig(seed=0, **delays), simple_workload())
+
 
 class TestCheckerOnSyntheticHistories:
     """The checker must judge histories on their own terms, so feed it

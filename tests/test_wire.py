@@ -1,5 +1,9 @@
 import gc
+import random
 import struct
+import sys
+import threading
+import weakref
 
 import pytest
 from hypothesis import given, strategies as st
@@ -283,9 +287,11 @@ def test_exact_deps_memo_holds_no_strong_reference():
     msg = _golden_commit(GOLDEN_DEPS)
     encode_message(msg)
     assert len(wire._exact_deps_bytes) == before + 1
+    packed = weakref.ref(msg.proposal.deps)
     del msg
     gc.collect()
     assert len(wire._exact_deps_bytes) == before
+    assert packed() is None  # nor does the ring of recently packed sets
 
 
 def _reference_exact_deps(deps: ExactDeps) -> bytes:
@@ -295,12 +301,77 @@ def _reference_exact_deps(deps: ExactDeps) -> bytes:
 
 
 u32s = st.integers(0, 2**32 - 1)
+u32_vertices = st.builds(VertexId, u32s, u32s)
 
 
-@given(st.frozensets(st.builds(VertexId, u32s, u32s), max_size=40))
+@given(st.frozensets(u32_vertices, max_size=40))
 def test_exact_deps_packing_matches_a_plain_sort(vertices):
     deps = ExactDeps(vertices)
     assert wire._encode_exact_deps(deps) == _reference_exact_deps(deps)
+
+
+@given(st.data())
+def test_nested_exact_deps_pack_like_a_plain_sort(data):
+    """Sets that each add a few vertices to an earlier one, a chain with
+    branches, mixed with unrelated sets and packed in any order. Some are
+    freed, and so gone from the ring, before the sets that contain them are
+    packed."""
+    sets = [data.draw(st.frozensets(u32_vertices, max_size=30))]
+    for _ in range(data.draw(st.integers(0, 14))):
+        if data.draw(st.booleans()):
+            earlier = data.draw(st.sampled_from(sets))
+            sets.append(earlier | data.draw(st.frozensets(u32_vertices, max_size=4)))
+        else:
+            sets.append(data.draw(st.frozensets(u32_vertices, max_size=30)))
+    deps = [ExactDeps(vertices) for vertices in sets]
+    freed = data.draw(st.sets(st.sampled_from(range(len(deps)))))
+    for i in data.draw(st.permutations(range(len(deps)))):
+        assert wire._encode_exact_deps(deps[i]) == _reference_exact_deps(deps[i])
+        if i in freed:
+            deps[i] = None
+
+
+def test_a_growing_set_is_sorted_from_scratch_once(monkeypatch):
+    sorted_sizes = []
+    sort = wire._sort_from_scratch
+    monkeypatch.setattr(wire, "_sort_from_scratch", lambda vs: sorted_sizes.append(len(vs)) or sort(vs))
+    vertices = frozenset(VertexId(i % 3, 500_000 + i) for i in range(40))
+    packed = []  # alive, so each set's predecessor is still in the ring
+    for i in range(20):  # each new vertex sorts first, the worst place to insert
+        vertices |= {VertexId(1, 499_999 - i)}
+        packed.append(ExactDeps(vertices))
+        assert wire._encode_exact_deps(packed[-1]) == _reference_exact_deps(packed[-1])
+    assert sorted_sizes == [41]
+
+
+def test_concurrent_encodes_match_the_plain_sort():
+    """Socket node threads encode at once and share the ring: threads pack
+    interleaved sizes of one growing set, so a parent is often another
+    thread's set, and each set is freed once packed."""
+    seqs = random.Random(0).sample(range(600_000, 600_300), 300)
+    base = [VertexId(i % 4, seq) for i, seq in enumerate(seqs)]  # each lands anywhere
+    errors: list[BaseException] = []
+
+    def pack(first: int) -> None:
+        try:
+            for n in range(first, len(base), 4):
+                deps = ExactDeps(frozenset(base[:n]))
+                assert wire._encode_exact_deps(deps) == _reference_exact_deps(deps)
+        except BaseException as exc:
+            errors.append(exc)
+
+    threads = [threading.Thread(target=pack, args=(k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
 
 
 @given(st.text(max_size=8), st.text(max_size=8), messages)
