@@ -44,8 +44,14 @@ class ClusterLayout:
 
 class ClosedLoopClient:
     """Issues one command at a time, waiting for the response before the
-    next; retries the same (client, seq) with doubling timeouts, rotating
-    to another leader each attempt."""
+    next; retries the same (client, seq) with doubling timeouts.
+
+    Every attempt, first or retry, goes to the leader with the fewest
+    `misses`: attempts that timed out since that leader last answered. Ties
+    go to the first in rotation order from `base_leader`, so a client that
+    never retries sends everything to `base_leader`. A response does not
+    name the leader that sent it, so it clears the count of the latest
+    attempt's leader."""
 
     def __init__(
         self,
@@ -62,6 +68,9 @@ class ClosedLoopClient:
         self.retry_ms = retry_ms
         self.idx = 0
         self.attempts = 0
+        self.misses = [0] * len(leaders)
+        self._rotation = [(base_leader + k) % len(leaders) for k in range(len(leaders))]
+        self._leader = base_leader  # index of the latest attempt's leader
         self.reply_times: list[tuple[float, float]] = []  # (sent, answered)
         self._sent_at = 0.0
 
@@ -77,6 +86,7 @@ class ClosedLoopClient:
             if self.done or self.idx + 1 != seq:
                 return []
             self.attempts += 1
+            self.misses[self._leader] += 1
             return self._issue(now, first=False)
         return []
 
@@ -86,13 +96,13 @@ class ClosedLoopClient:
         op = self.ops[self.idx]
         seq = self.idx + 1
         cmd = Command(self.name, seq, op)
-        leader = self.leaders[(self.base_leader + self.attempts) % len(self.leaders)]
+        self._leader = min(self._rotation, key=self.misses.__getitem__)
         out: list[Effect] = []
         if first:
             self._sent_at = now
             out.append(Note(Invoke(self.name, seq, op)))
-        out.append(Send(leader, ClientRequest(cmd)))
-        # low backoff ceiling: rotating away from a dead leader matters more
+        out.append(Send(self.leaders[self._leader], ClientRequest(cmd)))
+        # low backoff ceiling: moving away from a dead leader matters more
         # than politeness at simulation scale
         out.append(
             SetTimer(self.retry_ms * (2 ** min(self.attempts, 2)), ("retry", seq))
@@ -107,6 +117,7 @@ class ClosedLoopClient:
         self.reply_times.append((self._sent_at, now))
         self.idx += 1
         self.attempts = 0
+        self.misses[self._leader] = 0
         out: list[Effect] = [
             Note(Reply(self.name, msg.client_seq, msg.output_available, msg.output))
         ]

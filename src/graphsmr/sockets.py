@@ -48,16 +48,25 @@ class _NodeThread(threading.Thread):
         self.listener.listen(16)
         self.port = self.listener.getsockname()[1]
         self.outbound: dict[str, socket.socket] = {}
+        self.inbound: list[socket.socket] = []  # accepted connections, shut by close()
+        self._inbound_lock = threading.Lock()
 
     # -- wiring -------------------------------------------------------------
 
     def start_listener(self) -> None:
         def accept_loop():
-            while not self.cluster.stopping.is_set():
+            while True:
                 try:
                     conn, _addr = self.listener.accept()
                 except OSError:
                     return
+                with self._inbound_lock:
+                    # close() runs after stopping is set: a connection
+                    # accepted once it has taken the list is closed here
+                    if self.cluster.stopping.is_set():
+                        conn.close()
+                        return
+                    self.inbound.append(conn)
                 threading.Thread(
                     target=self._read_loop, args=(conn,), daemon=True
                 ).start()
@@ -65,20 +74,21 @@ class _NodeThread(threading.Thread):
         threading.Thread(target=accept_loop, daemon=True).start()
 
     def _read_loop(self, conn: socket.socket) -> None:
-        buf = b""
-        conn.settimeout(0.5)
-        while not self.cluster.stopping.is_set():
-            try:
-                chunk = conn.recv(65536)
-            except socket.timeout:
-                continue
-            except OSError:
-                return
-            if not chunk:
-                return
-            frames, buf = split_frames(buf + chunk)
-            for frame in frames:
-                self.inbox.put(decode_frame(frame))
+        with conn:
+            buf = b""
+            conn.settimeout(0.5)
+            while not self.cluster.stopping.is_set():
+                try:
+                    chunk = conn.recv(65536)
+                except socket.timeout:
+                    continue
+                except OSError:
+                    return
+                if not chunk:
+                    return
+                frames, buf = split_frames(buf + chunk)
+                for frame in frames:
+                    self.inbox.put(decode_frame(frame))
 
     def _connection_to(self, dst: str) -> socket.socket:
         sock = self.outbound.get(dst)
@@ -128,11 +138,9 @@ class _NodeThread(threading.Thread):
         self._timer_seq += 1
 
     def close(self) -> None:
-        try:
-            self.listener.close()
-        except OSError:
-            pass
-        for sock in self.outbound.values():
+        with self._inbound_lock:
+            inbound = list(self.inbound)
+        for sock in [self.listener, *inbound, *self.outbound.values()]:
             try:
                 sock.close()
             except OSError:

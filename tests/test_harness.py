@@ -15,6 +15,7 @@ from graphsmr.core import (
 )
 from graphsmr.harness import (
     ALL_MUTATIONS,
+    ClosedLoopClient,
     ConfigError,
     Crash,
     LinkFault,
@@ -28,6 +29,7 @@ from graphsmr.harness import (
 from graphsmr.harness.history import Invoke, Reply
 from graphsmr.harness.sim import Simulation
 from graphsmr.leader import AssignEvent
+from graphsmr.messages import ClientResponse, Send, SetTimer
 from graphsmr.replica import CommitSeen, ExecEvent, RespondEvent
 
 
@@ -73,12 +75,12 @@ def pinned_runs():
 
 # run_fingerprint digests of pinned_runs()
 PINNED_FINGERPRINTS = {
-    "lossy-leader-crash": "58e5c2896d3dc2a7fb31cc902ea68d488877e7524ace6aa40fd4a901f9ba367f",
+    "lossy-leader-crash": "a795d349da013a7b72ea1240c608dafd5db01581d94d6c33fde0fb38007e775c",
     "compact-batch4-thrifty": "3ca31877cbb8305b114268cf06ce3b82b9d97988cd14f568fa2139e2e6651029",
-    "healing-partition": "ef810f9dc6cfcdac3309256cd6ae7754a802bbdef2634e5eb8398ba239109c58",
+    "healing-partition": "88f1d1435ae49d458ef767ebe7ab700abbff5ac918d444530eadabae871147e5",
     "dead-link": "0f7f8af245629811f5c38f0d4a748ae307c2cc4dff42c6a19fa0add5c6720806",
     "coupled": "e1f04ae6d42c2edced48309b7ede9d8682aa7e4fcfe2ce0fc7ac985616d9ad62",
-    "wire-trace": "181170590dcbae96bd1be37257c1f53f5af44f11a25245fff78c23a33e7d6fde",
+    "wire-trace": "514d8bd5aed3d874a3c8496c968be28f21e7e8c2bd5fa607dc6a4871d6cfd451",
 }
 
 
@@ -241,6 +243,24 @@ class TestFaults:
         )
         assert res.completed
         assert res.received.get("dep-0", 0) < res.received["dep-1"]
+
+    def test_clients_of_a_crashed_leader_move_to_a_live_one(self):
+        # no loss: the only retries are those of commands sent to the dead
+        # leader, so once a client has seen leader-1 time out and leader-0
+        # answer, its later commands go to leader-0 first
+        res = run_simulation(
+            SimConfig(seed=41, max_delay_ms=3.0, max_sim_ms=120_000),
+            random_workload(random.Random(41), 6, 20, 0.3),
+            [Crash("leader-1", 20.0)],
+        )
+        assert res.completed
+        assert check_history(res.history).ok
+        medians = {}
+        for base in (0, 1):
+            latencies = sorted(done - sent for c in res.clients if c.base_leader == base
+                               for sent, done in c.reply_times)
+            medians[base] = latencies[len(latencies) // 2]
+        assert medians[1] <= 2 * medians[0], medians
 
     def test_recovery_noop_fills_stuck_vertex(self):
         from graphsmr.harness.history import check_history as check
@@ -549,20 +569,23 @@ def test_checker_agrees_with_pairwise_oracle(records):
     assert unlinked == Counter(pair for kind, pair in expected if kind == "dependency-invariant")
 
 
-# run_fingerprint digests of mutation_config(name, 0, ALL_MUTATIONS[name]),
-# from when the roles themselves carried the mutation switches
+# run_fingerprint digests of mutation_config(name, 0, ALL_MUTATIONS[name]).
+# Two of the runs retry a client command, so they changed when clients began
+# to send each attempt to the leader with the fewest misses.
 MUTATION_FINGERPRINTS = {
     "dep-quorum-one": "cf99b5acd664413cc86120564f9255b5186e9cfa2a81bafcad1b148950995141",
-    "acceptor-ignores-promises": "d3e64c01ee0a6357bec8f49fd6e7f038e52b79f6fcbc2bfe04d77fdf0c5b3fc1",
+    "acceptor-ignores-promises": "93dba7005f63718b6528556d4f9277c3f4ee48c69260377973c336ab2bd7daf1",
     "replica-skip-scc": "3c53905391c4539e606e2feaed60ad2bd7d24284c24fba7f11e2507e7ecfb272",
-    "client-table-largest-only": "5c49463612dd2e5a2b49615bf91e2d6e16c7d760516c1132d5df058610e32346",
+    "client-table-largest-only": "81a17e80cf071337b8ec5bc60bcc6642175d180af81c62b332aa666133096ffb",
 }
 
 
 class TestMutationDetection:
     def test_pinned_mutation_fingerprints(self):
-        """Mutations.apply breaks each rule exactly as the role switches it
-        replaced did: same histories, wire counts and end times."""
+        """Each mutated run's history, wire counts and end time hash to the
+        digest pinned here, so a change to how Mutations.apply breaks a rule,
+        or to the run around it, fails. A change that alters them on purpose
+        updates the pins and says so in CHANGES.md."""
         got = {
             name: run_fingerprint(run_simulation(*mutation_config(name, 0, mutations)))
             for name, mutations in ALL_MUTATIONS.items()
@@ -628,6 +651,72 @@ class TestClientBookkeeping:
         replies = [ev for _t, _n, ev in res.history if isinstance(ev, Reply)]
         assert len(invokes) == 4
         assert len(replies) == 4
+
+
+class TestClientLeaderChoice:
+    """ClosedLoopClient driven directly by timers and responses."""
+
+    @staticmethod
+    def client(leaders=3, base=0, commands=4):
+        return ClosedLoopClient("client-0", [Get(b"k")] * commands,
+                                [f"leader-{i}" for i in range(leaders)], base_leader=base)
+
+    @staticmethod
+    def sent_to(effects):
+        (send,) = [e for e in effects if isinstance(e, Send)]
+        return send.dst
+
+    @staticmethod
+    def answer(c, now):
+        return c.on_message("leader-?", ClientResponse(c.name, c.idx + 1, True, b""), now)
+
+    def test_without_timeouts_every_request_goes_to_base_leader(self):
+        c = self.client(base=1, commands=5)
+        targets = [self.sent_to(c.on_timer(("start",), 0.0))]
+        for n in range(1, 5):
+            targets.append(self.sent_to(self.answer(c, 10.0 * n)))
+            # the retry timer of an answered command is stale and changes nothing
+            assert c.on_timer(("retry", n), 10.0 * n + 1) == []
+        assert targets == ["leader-1"] * 5
+        assert c.misses == [0, 0, 0]
+
+    def test_leader_that_answered_a_retry_takes_the_next_command(self):
+        c = self.client(base=0)
+        assert self.sent_to(c.on_timer(("start",), 0.0)) == "leader-0"
+        assert self.sent_to(c.on_timer(("retry", 1), 200.0)) == "leader-1"
+        assert self.sent_to(self.answer(c, 210.0)) == "leader-1"
+        assert c.misses == [1, 0, 0]
+        assert c.attempts == 0
+
+    def test_equal_counts_follow_rotation_order(self):
+        c = self.client(base=2)
+        effects = [c.on_timer(("start",), 0.0)]
+        effects += [c.on_timer(("retry", 1), 1000.0 * k) for k in range(1, 6)]
+        assert [self.sent_to(e) for e in effects] == [
+            "leader-2", "leader-0", "leader-1", "leader-2", "leader-0", "leader-1"]
+        # attempts still sets the backoff, capped at four times retry_ms
+        delays = [e.delay_ms for effs in effects for e in effs if isinstance(e, SetTimer)]
+        assert delays == [200.0, 400.0, 800.0, 800.0, 800.0, 800.0]
+
+    def test_silent_leader_chosen_only_while_its_misses_are_lowest(self):
+        rng = random.Random(13)
+        c = self.client(leaders=3, base=0, commands=200)
+        effects, now, silent_sends = c.on_timer(("start",), 0.0), 0.0, 0
+        for _ in range(1000):
+            if c.done:
+                break
+            target = int(self.sent_to(effects).rsplit("-", 1)[1])
+            # the first leader in rotation order among those with fewest misses
+            assert target == [i for i in (0, 1, 2) if c.misses[i] == min(c.misses)][0]
+            now += 1000.0
+            # leader-0 never answers; the others time out a third of the time
+            if target == 0 or rng.random() < 1 / 3:
+                silent_sends += target == 0
+                effects = c.on_timer(("retry", c.idx + 1), now)
+            else:
+                effects = self.answer(c, now)
+        assert c.done
+        assert 0 < silent_sends < 40
 
 
 class TestThriftyEndToEnd:

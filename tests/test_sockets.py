@@ -47,3 +47,15 @@ def test_end_ms_is_stamped_when_the_clients_are_done():
     assert run.completed
     last_reply = max(done for c in run.clients for _sent, done in c.reply_times)
     assert last_reply <= run.end_ms <= last_reply + POLL_MS + 5.0
+
+
+def test_every_connection_is_closed_when_run_returns():
+    workload = [[Set(b"k", b"1"), Get(b"k")], [Set(b"j", b"2")]]
+    cluster = SocketCluster(SimConfig(seed=0), workload)
+    assert cluster.run(wall_limit_ms=20_000).completed
+    nodes = cluster.nodes.values()
+    inbound = [sock for node in nodes for sock in node.inbound]
+    outbound = [sock for node in nodes for sock in node.outbound.values()]
+    assert inbound and outbound
+    # a closed socket has no file descriptor
+    assert [s for s in inbound + outbound + [n.listener for n in nodes] if s.fileno() != -1] == []
