@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Byte-identity fingerprints of 164 seeded simulation runs.
 
-Prints one `name digest` line per run, where the digest covers the run's
-history text, wire trace, sent and received counts, end time, completion
-and panic (tests/fuzz_helpers.run_fingerprint). A change meant to keep
-same-seed runs identical saves the output of the parent commit and checks
-itself against it with --compare. The runs:
+Prints one `name digest verdict` line per run, where the digest covers the
+run's history text, wire trace, sent and received counts, end time,
+completion and panic (tests/fuzz_helpers.run_fingerprint), and the verdict
+is the sha256 of the text of check_history's verdict on the run's history.
+A change meant to keep same-seed runs, or the checker's verdicts, identical
+saves the output of the parent commit (or runs this script in a copy of
+it) and checks itself against it with --compare. The runs:
 
 - bench: the benchmark's commute, hotspot and faults rounds at seeds 1-3
   (12 scenarios, from perfbench/workloads.py);
@@ -22,11 +24,12 @@ itself against it with --compare. The runs:
 Usage: python scripts/fingerprint.py [--quick] > parent.txt
        python scripts/fingerprint.py [--quick] --compare parent.txt
 
---compare runs every run, names each one whose digest differs on stderr,
-and exits 1 if any did.
+--compare runs every run, names each one whose run digest or verdict
+digest differs on stderr, and exits 1 if any did.
 """
 
 import argparse
+import hashlib
 import random
 import sys
 from dataclasses import replace
@@ -39,7 +42,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 from fuzz_helpers import fuzz_config, mutation_config, run_fingerprint
 from graphsmr.bench import BenchConfig, generate_workload, sim_config_for
-from graphsmr.harness import ALL_MUTATIONS, Crash, run_simulation
+from graphsmr.harness import ALL_MUTATIONS, Crash, check_history, run_simulation
 from workloads import SIM_WORKLOADS, scenarios
 
 
@@ -98,22 +101,30 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--quick", action="store_true", help="run a small subset")
     parser.add_argument("--compare", metavar="FILE",
-                        help="name every run whose digest differs from FILE's, "
-                             "then exit 1 if any did")
+                        help="name every run whose run or verdict digest differs "
+                             "from FILE's, then exit 1 if any did")
     args = parser.parse_args()
     expected = None
     if args.compare:
         lines = Path(args.compare).read_text().splitlines()
-        expected = dict(line.split() for line in lines if line.strip())
+        expected = {name: digests for name, *digests in map(str.split, lines) if digests}
     runs = differing = 0
     for name, (config, workload, faults) in all_runs(args.quick):
-        digest = run_fingerprint(run_simulation(config, workload, faults))
-        print(f"{name} {digest}", flush=True)
+        result = run_simulation(config, workload, faults)
+        digests = [
+            run_fingerprint(result),
+            hashlib.sha256(str(check_history(result.history)).encode()).hexdigest(),
+        ]
+        print(name, *digests, flush=True)
         runs += 1
-        if expected is not None and expected.get(name) != digest:
+        if expected is None:
+            continue
+        want = (expected.get(name, []) + ["no entry"] * 2)[:2]
+        for what, got, was in zip(("run", "verdict"), digests, want):
+            if got != was:
+                print(f"differs: {name} {what} (expected {was})", file=sys.stderr, flush=True)
+        if digests != want:
             differing += 1
-            print(f"differs: {name} (expected {expected.get(name, 'no entry')})",
-                  file=sys.stderr, flush=True)
     if differing:
         print(f"{differing} of {runs} runs differ", file=sys.stderr)
         return 1

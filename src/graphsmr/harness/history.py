@@ -12,10 +12,10 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from itertools import chain, combinations
 from math import inf
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 from ..consensus import ChosenEvent
-from ..core import CompactDeps, Get, Proposal, VertexId, key_access
+from ..core import CompactDeps, ExactDeps, Get, Proposal, VertexId, key_access
 from ..replica import CommitSeen, ExecEvent, RespondEvent
 
 Record = tuple[float, int, object]
@@ -70,28 +70,68 @@ def _key_index(
     proposals: dict[VertexId, Proposal],
 ) -> dict[bytes, tuple[list[VertexId], list[VertexId]]]:
     """key -> (writers, readers that do not also write it), each vertex listed
-    once and in vertex order. Keys nobody writes conflict on nothing and are
-    left out."""
+    once and in vertex order. Keys nobody writes, and keys only one vertex
+    touches, hold no conflicting pair and are left out."""
     index: dict[bytes, tuple[list[VertexId], list[VertexId]]] = {}
     for v in sorted(proposals, key=VertexId.sort_key):
         for key, is_write in key_access(proposals[v].cmd).items():
             index.setdefault(key, ([], []))[0 if is_write else 1].append(v)
-    return {key: lists for key, lists in index.items() if lists[0]}
+    return {
+        key: (writers, readers)
+        for key, (writers, readers) in index.items()
+        if writers and len(writers) + len(readers) > 1
+    }
 
 
-def _conflicting_pairs(
-    writers: list[VertexId], readers: list[VertexId]
-) -> Iterator[tuple[VertexId, VertexId]]:
-    """Every conflicting pair on one key as (earlier, later): each writer
-    with every earlier writer and with every reader."""
-    for i, w in enumerate(writers):
-        split = bisect_left(readers, w)
-        for a in writers[:i]:
-            yield a, w
-        for a in readers[:split]:
-            yield a, w
-        for b in readers[split:]:
-            yield w, b
+def _history_unlinked(
+    writers: list[VertexId],
+    readers: list[VertexId],
+    proposals: dict[VertexId, Proposal],
+    rank: dict[VertexId, int],
+) -> list[tuple[VertexId, VertexId]]:
+    """The unlinked conflicting pairs on one key whose vertices do not all
+    carry compact deps, as (earlier, later) pairs in vertex order.
+
+    The key's vertices are walked in history order (rank: the order of each
+    vertex's first commit record). A vertex's candidates are the conflicting
+    vertices walked before it that its deps leave out: one C-level set
+    difference for exact deps, a filter for compact ones. Each candidate a
+    is then probed the other way, v in a's deps. A vertex's exact deps hold
+    every conflicting vertex the dependency service saw before it, nearly
+    all of those committed before it, so the candidates are the few that
+    were in flight beside it, however long the history.
+
+    The pairs come out in the order of a walk over the writers in vertex
+    order, each paired with the earlier writers and then with every reader,
+    partners in vertex order."""
+    is_writer = set(writers)
+    seen_writers: set[VertexId] = set()
+    seen: set[VertexId] = set()
+    found: list[tuple[VertexId, VertexId]] = []
+    for v in sorted(chain(writers, readers), key=rank.__getitem__):
+        writes = v in is_writer
+        partners = seen if writes else seen_writers
+        deps = proposals[v].deps
+        if isinstance(deps, ExactDeps):
+            candidates: Iterable[VertexId] = partners - deps.vertices
+        else:
+            candidates = [a for a in partners if a not in deps]
+        for a in candidates:
+            if v not in proposals[a].deps:
+                found.append((a, v) if a < v else (v, a))
+        seen.add(v)
+        if writes:
+            seen_writers.add(v)
+
+    def walk_order(pair: tuple[VertexId, VertexId]):
+        """(writer, partner is a reader, partner): the later vertex leads
+        when both write."""
+        a, b = pair
+        if b in is_writer:
+            return b.sort_key(), a not in is_writer, a.sort_key()
+        return a.sort_key(), True, b.sort_key()
+
+    return sorted(found, key=walk_order)
 
 
 def _compact_unlinked(
@@ -215,10 +255,12 @@ def check_history(records: list[Record]) -> Verdict:
                 break
 
     # (c) dependency invariant: every conflicting pair has an edge. A key
-    # whose vertices all carry compact deps is checked per leader; otherwise
-    # every pair is probed, the later vertex's deps first. A pair that
-    # conflicts on several keys is reported once
+    # whose vertices all carry compact deps is checked per leader; any other
+    # key is walked in history order, the order of first commit records,
+    # which is proposals' insertion order. A pair that conflicts on several
+    # keys is reported once
     index = _key_index(proposals)
+    rank = {v: i for i, v in enumerate(proposals)}
     unlinked: set[tuple[VertexId, VertexId]] = set()
     for key in sorted(index):
         writers, readers = index[key]
@@ -226,11 +268,7 @@ def check_history(records: list[Record]) -> Verdict:
         if all(isinstance(proposals[v].deps, CompactDeps) for v in chain(writers, readers)):
             found = _compact_unlinked(writers, readers, proposals)
         else:
-            found = (
-                (a, b)
-                for a, b in _conflicting_pairs(writers, readers)
-                if a not in proposals[b].deps and b not in proposals[a].deps
-            )
+            found = _history_unlinked(writers, readers, proposals, rank)
         for a, b in found:
             if (a, b) not in unlinked:
                 unlinked.add((a, b))

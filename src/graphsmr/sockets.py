@@ -151,7 +151,7 @@ class _NodeThread(threading.Thread):
 class SocketRunResult:
     history: list[Record]
     completed: bool
-    end_ms: float  # wall-clock ms from building the cluster until its clients are done or time is up
+    end_ms: float  # wall-clock ms from building the cluster until the last reply, or until time is up
     clients: list
 
 
@@ -184,8 +184,14 @@ class SocketCluster:
                 if all(c.done for c in self.clients):
                     break
                 time.sleep(POLL_MS / 1000.0)
-            # the run ends when its clients are done; shutdown is not run time
+            # the run ends at the last reply if its clients are done, else at
+            # the deadline; neither the poll's wake-up nor shutdown is run time
             end_ms = self.now_ms()
+            if all(c.done for c in self.clients):
+                end_ms = max(
+                    (done for c in self.clients for _sent, done in c.reply_times),
+                    default=end_ms,
+                )
         finally:
             self.stopping.set()
             for node in self.nodes.values():

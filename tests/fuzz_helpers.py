@@ -8,9 +8,10 @@ from __future__ import annotations
 
 import hashlib
 import random
+from bisect import bisect_left
 
 from graphsmr.consensus import ChosenEvent
-from graphsmr.core import Get, Op, Payload, Set, VertexId, footprint
+from graphsmr.core import CompactDeps, Get, Op, Payload, Set, VertexId, footprint, key_access
 from graphsmr.harness import Crash, SimConfig, Timeouts, export_history
 from graphsmr.harness.mutations import Mutations
 from graphsmr.replica import CommitSeen, ExecEvent, _tarjan_sccs
@@ -199,6 +200,48 @@ def pairwise_conflict_violations(records) -> list[tuple[str, frozenset]]:
                 if a in p1 and b in p1 and a in p2 and b in p2:
                     if (p1[a] < p1[b]) != (p2[a] < p2[b]):
                         found.append(("conflicting-order", pair))
+    return found
+
+
+def conflicting_pairs(writers: list, readers: list):
+    """Every conflicting pair on one key as (earlier, later), given its
+    writers and the readers that do not also write it, each in vertex order:
+    each writer with every earlier writer and then with every reader."""
+    for i, w in enumerate(writers):
+        split = bisect_left(readers, w)
+        for a in writers[:i]:
+            yield a, w
+        for a in readers[:split]:
+            yield a, w
+        for b in readers[split:]:
+            yield w, b
+
+
+def ordered_unlinked_pairs(records) -> list[tuple[VertexId, VertexId]]:
+    """Reference for the order of check_history's dependency-invariant
+    violations: keys in sorted order, each key's unlinked pairs in
+    conflicting_pairs order (sorted instead on a key whose vertices all
+    carry compact deps), and a pair that conflicts on several keys kept
+    where it first appears."""
+    proposals = {}
+    for rec in records:
+        ev = rec[2]
+        if isinstance(ev, (CommitSeen, ChosenEvent)):
+            proposals.setdefault(ev.v, ev.proposal)
+    index: dict[bytes, tuple[list, list]] = {}
+    for v in sorted(proposals, key=VertexId.sort_key):
+        for key, is_write in key_access(proposals[v].cmd).items():
+            index.setdefault(key, ([], []))[0 if is_write else 1].append(v)
+    found: list[tuple[VertexId, VertexId]] = []
+    for key in sorted(index):
+        writers, readers = index[key]
+        unlinked = [
+            (a, b) for a, b in conflicting_pairs(writers, readers)
+            if a not in proposals[b].deps and b not in proposals[a].deps
+        ]
+        if all(isinstance(proposals[v].deps, CompactDeps) for v in writers + readers):
+            unlinked.sort()
+        found.extend(pair for pair in unlinked if pair not in found)
     return found
 
 

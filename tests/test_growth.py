@@ -2,10 +2,10 @@
 node, the replica's commit path and the checker must not grow with the
 history. Each guard counts work, not time, by wrapping a method for the
 length of one run, and compares a 200-command run with a 3200-command run
-of the same all-conflict workload. The wire trace's exact-deps packing is
-guarded the same way, at 200 and 800 commands, since its trace is about
-370 MB at 3200. A last guard bounds the replica's executed-id state after a
-long conflict-free run."""
+of the same all-conflict workload. With exact deps, the wire trace's
+packing and the checker's probes are guarded the same way, at 200 and 800
+commands, since the trace is about 370 MB at 3200. A last guard bounds the
+replica's executed-id state after a long conflict-free run."""
 
 import dataclasses
 import random
@@ -16,7 +16,7 @@ import pytest
 
 from graphsmr import wire
 from graphsmr.bench import BenchConfig, generate_workload, sim_config_for
-from graphsmr.core import CommitGraph, CompactDeps, Noop
+from graphsmr.core import CommitGraph, CompactDeps, ExactDeps, Noop
 from graphsmr.depservice import DepServiceNode
 from graphsmr.harness import check_history, history, run_simulation
 from graphsmr.replica import CommitSeen, Replica
@@ -24,19 +24,34 @@ from graphsmr.replica import CommitSeen, Replica
 SIZES = (200, 3200)
 
 
-def count_work(commands):
-    # delays vary, so vertices commit out of order and a commit has a gap
-    # above the executed low watermark to walk
+def all_conflict(commands, compact_deps):
+    """10 clients, every command writing one hot key, seed 1. Delays vary,
+    so vertices commit out of order and a commit has a gap above the
+    executed low watermark to walk."""
     config = BenchConfig(
         clients=10,
         commands_per_client=commands // 10,
         conflict_rate=1.0,
-        compact_deps=True,
+        compact_deps=compact_deps,
         min_delay_ms=1.0,
         max_delay_ms=3.0,
         seed=1,
     )
     workload = generate_workload(config, random.Random(f"{config.seed}/workload"))
+    return sim_config_for(config), workload
+
+
+def vertices(result):
+    """Committed vertices that are not recovery noops; in an all-conflict
+    run each one writes the hot key."""
+    return len(
+        {ev.v for _, _, ev in result.history
+         if isinstance(ev, CommitSeen) and not isinstance(ev.proposal.cmd, Noop)}
+    )
+
+
+def count_work(commands):
+    sim_config, workload = all_conflict(commands, compact_deps=True)
     tally = Counter()
     above, add, rows = CompactDeps.above, CommitGraph.add, DepServiceNode._conflicting_rows
     contains, bisect_right = CompactDeps.__contains__, history.bisect_right
@@ -68,16 +83,12 @@ def count_work(commands):
     with patch.object(CompactDeps, "above", counted_above), \
             patch.object(CommitGraph, "add", counted_add), \
             patch.object(DepServiceNode, "_conflicting_rows", counted_rows):
-        result = run_simulation(sim_config_for(config), workload)
+        result = run_simulation(sim_config, workload)
     assert result.completed
     with patch.object(CompactDeps, "__contains__", counted_contains), \
             patch.object(history, "bisect_right", counted_bisect):
         assert check_history(result.history).ok
-    # every vertex but a recovery noop writes the one hot key
-    tally["vertices"] = len(
-        {ev.v for _, _, ev in result.history
-         if isinstance(ev, CommitSeen) and not isinstance(ev.proposal.cmd, Noop)}
-    )
+    tally["vertices"] = vertices(result)
     return tally
 
 
@@ -108,15 +119,7 @@ def test_checker_probes_do_not_grow_with_history(work):
 def count_packing(commands):
     """New exact dependency sets packed, and the vertices sorted from
     scratch to pack them, in one traced all-conflict run."""
-    config = BenchConfig(
-        clients=10,
-        commands_per_client=commands // 10,
-        conflict_rate=1.0,
-        min_delay_ms=1.0,
-        max_delay_ms=3.0,
-        seed=1,
-    )
-    workload = generate_workload(config, random.Random(f"{config.seed}/workload"))
+    sim_config, workload = all_conflict(commands, compact_deps=False)
     tally = Counter()
     encode, sort = wire._encode_exact_deps, wire._sort_from_scratch
 
@@ -130,8 +133,8 @@ def count_packing(commands):
 
     with patch.object(wire, "_encode_exact_deps", counted_encode), \
             patch.object(wire, "_sort_from_scratch", counted_sort):
-        sim_config = dataclasses.replace(sim_config_for(config), capture_wire_trace=True)
-        result = run_simulation(sim_config, workload)
+        traced = dataclasses.replace(sim_config, capture_wire_trace=True)
+        result = run_simulation(traced, workload)
     assert result.completed and result.wire_trace
     return tally
 
@@ -141,6 +144,33 @@ def test_exact_deps_packing_does_not_grow_with_history():
     before it, so the vertices sorted from scratch per set stay flat while
     the sets grow with the history."""
     small, large = (t["sorted"] / t["sets"] for t in map(count_packing, (200, 800)))
+    assert large <= 1.5 * small
+
+
+def count_exact_probes(commands):
+    """ExactDeps membership tests made by check_history, per vertex, on one
+    clean exact-deps all-conflict run."""
+    sim_config, workload = all_conflict(commands, compact_deps=False)
+    result = run_simulation(sim_config, workload)
+    assert result.completed
+    probes = 0
+    contains = ExactDeps.__contains__
+
+    def counted_contains(self, v):
+        nonlocal probes
+        probes += 1
+        return contains(self, v)
+
+    with patch.object(ExactDeps, "__contains__", counted_contains):
+        assert check_history(result.history).ok
+    return probes / vertices(result)
+
+
+def test_exact_checker_probes_do_not_grow_with_history():
+    """A vertex's exact deps are subtracted from the conflicting vertices
+    committed before it in one set operation, so only the few left over
+    are probed in Python, however long the history."""
+    small, large = map(count_exact_probes, (200, 800))
     assert large <= 1.5 * small
 
 

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fuzz_helpers import (
-    conflicts, fuzz_config, mutation_config, pairwise_conflict_violations, random_workload,
-    run_fingerprint,
+    conflicts, fuzz_config, mutation_config, ordered_unlinked_pairs,
+    pairwise_conflict_violations, random_workload, run_fingerprint,
 )
 from graphsmr.core import (
     Batch, Get, NOOP, NOOP_PROPOSAL, Proposal, Set, VertexId, CompactDeps, ExactDeps,
@@ -507,9 +507,9 @@ def conflicting_histories(draw):
     """Commit and execution records over one to three keys: batches that may
     read and write one key, noops with empty deps, and exact or compact deps
     (or both, vertex by vertex) with some conflicting edges dropped and
-    compact watermarks moved to adversarial values; then two or three
-    replicas that each apply a perturbed vertex order with some vertices
-    left out or skipped."""
+    compact watermarks moved to adversarial values, committed in a drawn
+    order; then two or three replicas that each apply a perturbed vertex
+    order with some vertices left out or skipped."""
     keys = KEYS[: draw(st.integers(1, 3))]
     op = st.one_of(
         st.builds(Get, st.sampled_from(keys)),
@@ -525,7 +525,7 @@ def conflicting_histories(draw):
         cmds[v] = Batch(tuple(Command("c", i, o) for i, o in enumerate(ops))) if ops else NOOP
     formats = draw(st.sampled_from((("exact",), ("compact",), ("exact", "compact"))))
     records = []
-    for v in ids:
+    for v in draw(st.permutations(ids)):
         if cmds[v] == NOOP:
             proposal = NOOP_PROPOSAL
         else:
@@ -567,6 +567,12 @@ def test_checker_agrees_with_pairwise_oracle(records):
         if v.kind == "dependency-invariant"
     )
     assert unlinked == Counter(pair for kind, pair in expected if kind == "dependency-invariant")
+    in_order = [
+        tuple(rec[2].v for rec in v.events)
+        for v in verdict.violations
+        if v.kind == "dependency-invariant"
+    ]
+    assert in_order == ordered_unlinked_pairs(records)
 
 
 # run_fingerprint digests of mutation_config(name, 0, ALL_MUTATIONS[name]).

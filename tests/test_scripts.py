@@ -50,17 +50,21 @@ def test_fingerprint_quick_is_reproducible(tmp_path):
     assert first.returncode == 0, first.stderr
     assert first.stdout == second.stdout
     lines = first.stdout.splitlines()
-    assert lines and all(len(line.split()) == 2 for line in lines)
+    assert lines and all(len(line.split()) == 3 for line in lines)
 
     (tmp_path / "same.txt").write_text(first.stdout)
     assert fingerprint("--compare", "same.txt").returncode == 0
-    tampered = [1, len(lines) - 1]
-    for i in tampered:
-        lines[i] = f"{lines[i].split()[0]} {'0' * 64}"
+    # the run digest of one run and the verdict digest of another
+    tampered = {1: "run", len(lines) - 1: "verdict"}
+    for i, what in tampered.items():
+        name, run, verdict = lines[i].split()
+        lines[i] = f"{name} {'0' * 64} {verdict}" if what == "run" else f"{name} {run} {'0' * 64}"
     (tmp_path / "other.txt").write_text("\n".join(lines) + "\n")
     proc = fingerprint("--compare", "other.txt")
     assert proc.returncode == 1
     assert proc.stdout == first.stdout  # every run still ran
     differs = [line for line in proc.stderr.splitlines() if line.startswith("differs: ")]
-    assert [line.split()[1] for line in differs] == [lines[i].split()[0] for i in tampered]
+    assert [line.split()[1:3] for line in differs] == [
+        [lines[i].split()[0], what] for i, what in tampered.items()
+    ]
     assert proc.stderr.splitlines()[-1] == f"2 of {len(lines)} runs differ"

@@ -5,7 +5,7 @@ unchanged over real sockets."""
 from graphsmr.core import Get, Set
 from graphsmr.harness.history import check_history
 from graphsmr.harness.sim import SimConfig
-from graphsmr.sockets import POLL_MS, SocketCluster
+from graphsmr.sockets import SocketCluster
 
 
 def test_socket_cluster_smoke():
@@ -38,15 +38,14 @@ def test_socket_bench_reports():
 
 
 def test_end_ms_is_stamped_when_the_clients_are_done():
-    """Throughput counts the run, not the shutdown: the end is stamped at
-    the first poll after the last reply. The node threads then take up to
-    their 50 ms inbox timeout to stop, which end_ms must not include. The
-    5 ms allow a late wake-up of the polling thread."""
+    """Throughput counts the run, not the poll or the shutdown: the end is
+    the last reply, on the same clock. Neither the polling thread's wake-up
+    nor the node threads' stop, up to their 50 ms inbox timeout, counts."""
     workload = [[Set(b"k", b"1"), Get(b"k")], [Set(b"j", b"2")]]
     run = SocketCluster(SimConfig(seed=0), workload).run(wall_limit_ms=20_000)
     assert run.completed
     last_reply = max(done for c in run.clients for _sent, done in c.reply_times)
-    assert last_reply <= run.end_ms <= last_reply + POLL_MS + 5.0
+    assert run.end_ms == last_reply
 
 
 def test_every_connection_is_closed_when_run_returns():
