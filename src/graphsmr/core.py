@@ -125,10 +125,10 @@ def key_access(x: Payload) -> dict[bytes, bool]:
 
 
 # Both dependency-set formats answer `v in deps` in O(1), have a `len` (and
-# so emptiness) and a `union`. deps.above(low) yields exactly the covered
-# (i, s) with s > low.get(i, -1): a compact set walks only the range above
-# each watermark, an exact set filters its vertices. Only expand() builds a
-# set; it is meant for tests and offline measurement.
+# so emptiness) and a `union`. Only expand() builds a set; it is meant for
+# tests and offline measurement. Whoever needs more reads the format: an
+# exact set's `vertices` take part in C-level set operations, and a compact
+# set's above(low) walks only the range above each per-leader watermark.
 
 
 @dataclass(frozen=True)
@@ -142,9 +142,6 @@ class ExactDeps:
 
     def __len__(self) -> int:
         return len(self.vertices)
-
-    def above(self, low: Mapping[int, int]) -> list[VertexId]:
-        return [v for v in self.vertices if v.seq > low.get(v.leader_index, -1)]
 
     def expand(self) -> frozenset[VertexId]:
         return self.vertices
@@ -274,13 +271,19 @@ class CommitGraph:
     it). Callers may prune it in place as deps execute.
 
     executed holds the executed vertices with one row per leader, so add()
-    walks a dependency set only above each leader's executed low watermark,
-    which trails the highest executed seq by the out-of-order gap.
+    walks a compact dependency set only above each leader's executed low
+    watermark, which trails the highest executed seq by the out-of-order
+    gap. executed_deps is the largest exact set, among the vertices that
+    deps_executed() was told of, whose members have all executed. add()
+    subtracts it from an exact set in one C-level set difference, so only
+    what is left over, the vertices in flight beside the new one, is
+    probed in executed.
     """
 
     def __init__(self) -> None:
         self.committed: dict[VertexId, Proposal] = {}
         self.executed = WatermarkSet(0)
+        self.executed_deps: frozenset[VertexId] = frozenset()
         self.waiting: dict[VertexId, list[VertexId]] = {}
 
     def add(self, v: VertexId, p: Proposal) -> bool:
@@ -291,11 +294,24 @@ class CommitGraph:
                 raise AgreementViolation(f"vertex {v}: {existing} vs {p}")
             return False
         self.committed[v] = p
-        sparse = self.executed.sparse
-        deps = (dep for dep in p.deps.above(self.executed.low) if dep not in sparse and dep != v)
-        self.waiting[v] = sorted(deps, key=VertexId.sort_key)
+        executed, deps = self.executed, p.deps
+        if isinstance(deps, ExactDeps):
+            rest = deps.vertices - self.executed_deps
+            left = (dep for dep in rest if dep not in executed and dep != v)
+        else:
+            sparse = executed.sparse
+            left = (dep for dep in deps.above(executed.low) if dep not in sparse and dep != v)
+        self.waiting[v] = sorted(left, key=VertexId.sort_key)
         return True
 
     def mark_executed(self, v: VertexId) -> None:
         del self.waiting[v]
         self.executed.add(v)
+
+    def deps_executed(self, vertices: Iterable[VertexId]) -> None:
+        """The given executed vertices have every dep executed too; keep
+        the largest exact set among them for add() to subtract."""
+        for v in vertices:
+            deps = self.committed[v].deps
+            if isinstance(deps, ExactDeps) and len(deps.vertices) >= len(self.executed_deps):
+                self.executed_deps = deps.vertices

@@ -176,14 +176,22 @@ class Replica:
         waiting = self.graph.waiting
         if len(waiting) == 1:
             (v,) = waiting
-            return [] if self._waiting_on(v) else self._execute_vertex(v)
+            return [] if self._waiting_on(v) else self._execute_component([v])
         out: list[Effect] = []
         roots = sorted(waiting, key=VertexId.sort_key)  # deterministic traversal
         for comp in _tarjan_sccs(roots, self._waiting_on):
             members = set(comp)
             if all(v in waiting and members.issuperset(self._waiting_on(v)) for v in comp):
-                for v in sorted(comp, key=VertexId.sort_key):
-                    out.extend(self._execute_vertex(v))
+                out.extend(self._execute_component(comp))
+        return out
+
+    def _execute_component(self, comp: list[VertexId]) -> list[Effect]:
+        """Run a component whose deps outside it have all executed, so once
+        it has run, every dep of each member has executed."""
+        out: list[Effect] = []
+        for v in sorted(comp, key=VertexId.sort_key):
+            out.extend(self._execute_vertex(v))
+        self.graph.deps_executed(comp)
         return out
 
     def _waiting_on(self, v: VertexId) -> list[VertexId]:

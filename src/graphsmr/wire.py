@@ -9,7 +9,9 @@ The same schema serves the socket transport and simulator trace dumps.
 The format is written down once, as a table of codecs: a codec is a
 (write, read) pair, and each type's codec is built from the codecs of its
 parts by `_record`, `_union`, `_tuple_of` and `_optional`, so the encoder
-and the decoder cannot disagree.
+and the decoder cannot disagree. A fixed-width codec also states its struct
+format, so a record packs each run of fixed-width fields, and a union its
+tag with the fields that follow it, in one call of a precompiled Struct.
 
 Decoding is canonical: every value has exactly one encoding, and the
 decoder rejects any other bytes. A flag or presence byte is 0 or 1, an
@@ -28,8 +30,8 @@ import weakref
 from array import array
 from bisect import bisect_left
 from collections import deque
-from itertools import chain
-from typing import Any, Callable, Iterable, Optional
+from itertools import chain, groupby
+from typing import Any, Callable, Iterable, NamedTuple, Optional
 
 from .core import (
     Batch,
@@ -88,9 +90,19 @@ class _Reader:
         return out
 
 
-# A writer appends the bytes of one value to a list of parts; a reader
-# consumes one value from a _Reader.
-_Codec = tuple[Callable[[list, Any], None], Callable[[_Reader], Any]]
+class _Codec(NamedTuple):
+    """write appends the bytes of one value to a list of parts; read
+    consumes one value from a _Reader. A fixed-width codec also gives its
+    struct format and the attribute path of each field it packs, "" for
+    the value itself. A record's codec keeps its fields as (attribute path,
+    codec) pairs, with the fields of a nested record in place of it, so
+    that an enclosing record writes them in one pass and a union packs its
+    tag with the first of them."""
+
+    write: Callable[[list, Any], None]
+    read: Callable[[_Reader], Any]
+    fixed: Optional[tuple[str, tuple[str, ...]]] = None
+    fields: tuple[tuple[str, "_Codec"], ...] = ()
 
 
 def _read_u32(r: _Reader) -> int:
@@ -143,44 +155,87 @@ def _read_bool(r: _Reader) -> bool:
     return byte == 1
 
 
-_u32: _Codec = (lambda out, x: out.append(_U32.pack(x)), _read_u32)
-_flag: _Codec = (lambda out, x: out.append(b"\x01" if x else b"\x00"), _read_bool)
-_blob: _Codec = (_write_blob, _read_blob)
-_text: _Codec = (_write_text, _read_text)
+_u32 = _Codec(lambda out, x: out.append(_U32.pack(x)), _read_u32, ("I", ("",)))
+# "?" packs any true value as 1
+_flag = _Codec(lambda out, x: out.append(b"\x01" if x else b"\x00"), _read_bool, ("?", ("",)))
+_blob = _Codec(_write_blob, _read_blob)
+_text = _Codec(_write_text, _read_text)
 # always five bytes: a presence byte, then the value or zero
-_opt_u32: _Codec = (_write_opt_u32, _read_opt_u32)
-_vertex: _Codec = (lambda out, v: out.append(v.encode()), _read_vertex)
-_noop: _Codec = (lambda out, x: None, lambda r: NOOP)
+_opt_u32 = _Codec(_write_opt_u32, _read_opt_u32)
+_vertex = _Codec(
+    lambda out, v: out.append(v.encode()), _read_vertex, ("II", ("leader_index", "seq"))
+)
+_noop = _Codec(lambda out, x: None, lambda r: NOOP)
+
+
+def _writer(fields: Iterable[tuple[str, _Codec]], tag: Optional[int] = None):
+    """A writer of the fields of a value at the given attribute paths, in
+    order. Each run of fixed-width fields packs in one call of a
+    precompiled Struct, and any other field is written by its codec. A tag
+    byte, if given, packs in front of the first run, which must then open
+    the fields."""
+    steps: list = []  # (pack, get, None) for a run, (None, get, write) for a field
+    for fixed, group in groupby(fields, key=lambda field: field[1].fixed is not None):
+        run = list(group)
+        if not fixed or (len(run) == 1 and tag is None):
+            steps += [(None, operator.attrgetter(path), codec.write) for path, codec in run]
+        else:
+            fmt = "".join(codec.fixed[0] for _, codec in run)
+            paths = [f"{path}.{sub}" if sub else path
+                     for path, codec in run for sub in codec.fixed[1]]
+            get = operator.attrgetter(*paths)
+            if len(paths) == 1:
+                get = lambda x, one=get: (one(x),)  # noqa: E731
+            if tag is None:
+                pack = struct.Struct(">" + fmt).pack
+            else:
+                pack = functools.partial(struct.Struct(">B" + fmt).pack, tag)
+            steps.append((pack, get, None))
+        tag = None  # only the first run carries it
+
+    def write(out: list, x) -> None:
+        for pack, get, w in steps:
+            if w is None:
+                out.append(pack(*get(x)))
+            else:
+                w(out, get(x))
+
+    return write
 
 
 def _record(cls, *codecs: _Codec) -> _Codec:
     """A dataclass: its fields in declaration order, one codec each."""
-    steps = [
-        (operator.attrgetter(f.name), w)
-        for f, (w, _) in zip(dataclasses.fields(cls), codecs, strict=True)
-    ]
-    readers = [r for _, r in codecs]
-
-    def write(out: list, x) -> None:
-        for get, w in steps:
-            w(out, get(x))
+    fields: list[tuple[str, _Codec]] = []
+    for f, codec in zip(dataclasses.fields(cls), codecs, strict=True):
+        if codec.fields:  # a nested record: its fields, under its name
+            fields += [(f"{f.name}.{path}", inner) for path, inner in codec.fields]
+        else:
+            fields.append((f.name, codec))
+    readers = [codec.read for codec in codecs]
 
     def read(r: _Reader):
         return cls(*[read(r) for read in readers])
 
-    return write, read
+    return _Codec(_writer(fields), read, fields=tuple(fields))
 
 
 def _union(what: str, first_tag: int, *cases: tuple[type, _Codec]) -> _Codec:
-    """One tag byte, numbered from first_tag in case order, then the case."""
-    writers = {cls: (bytes([tag]), w) for tag, (cls, (w, _)) in enumerate(cases, first_tag)}
-    readers = {tag: r for tag, (_, (_, r)) in enumerate(cases, first_tag)}
+    """One tag byte, numbered from first_tag in case order, then the case.
+    A record that starts with fixed-width fields packs the tag with them."""
+    writers = {}
+    for tag, (cls, codec) in enumerate(cases, first_tag):
+        if codec.fields and codec.fields[0][1].fixed is not None:
+            writers[cls] = (b"", _writer(codec.fields, tag))
+        else:
+            writers[cls] = (bytes([tag]), codec.write)
+    readers = {tag: codec.read for tag, (_, codec) in enumerate(cases, first_tag)}
 
     def write(out: list, x) -> None:
         case = writers.get(type(x))
         if case is None:
             raise WireError(f"unknown {what} type {type(x).__name__}")
-        out.append(case[0])
+        if case[0]:
+            out.append(case[0])
         case[1](out, x)
 
     def read(r: _Reader):
@@ -190,12 +245,12 @@ def _union(what: str, first_tag: int, *cases: tuple[type, _Codec]) -> _Codec:
             raise WireError(f"unknown {what} tag {tag}")
         return case(r)
 
-    return write, read
+    return _Codec(write, read)
 
 
 def _tuple_of(codec: _Codec) -> _Codec:
     """A u32 count, then the items."""
-    write_item, read_item = codec
+    write_item, read_item = codec.write, codec.read
 
     def write(out: list, xs: tuple) -> None:
         out.append(_U32.pack(len(xs)))
@@ -205,12 +260,12 @@ def _tuple_of(codec: _Codec) -> _Codec:
     def read(r: _Reader) -> tuple:
         return tuple([read_item(r) for _ in range(_read_u32(r))])
 
-    return write, read
+    return _Codec(write, read)
 
 
 def _optional(codec: _Codec) -> _Codec:
     """A presence byte, then the value if present."""
-    write_value, read_value = codec
+    write_value, read_value = codec.write, codec.read
 
     def write(out: list, x) -> None:
         if x is None:
@@ -222,7 +277,7 @@ def _optional(codec: _Codec) -> _Codec:
     def read(r: _Reader):
         return read_value(r) if _read_bool(r) else None
 
-    return write, read
+    return _Codec(write, read)
 
 
 # Exact dependency sets grow with the history and one set rides on many
@@ -275,21 +330,29 @@ def _nearest_packed_subset(vertices: frozenset[VertexId]) -> Optional[tuple[Exac
 
 
 def _insert_sorted(data: bytes, vertices: Iterable[VertexId]) -> bytes:
-    """Packed set data plus vertices it lacks. Each goes to its place by a
-    binary search over the packed pairs, so the pairs already in order are
-    neither unpacked nor sorted again."""
+    """Packed set data plus vertices it lacks. Those that sort after its
+    last pair, mostly all of them, are packed and appended in one slice;
+    each other one goes to its place by a binary search over the packed
+    pairs, so the pairs already in order are neither unpacked nor sorted
+    again."""
     out = bytearray(data)
+    n = (len(out) - 4) // 8
 
     def order(i: int) -> tuple[int, int]:
         leader, seq = _VERTEX.unpack_from(out, 4 + 8 * i)
         return seq, leader
 
+    new = sorted(vertices, key=VertexId.sort_key)
+    split = bisect_left(new, order(n - 1), key=VertexId.sort_key) if n else 0
     at = 0  # the vertices go in increasing order, each after the last
-    for v in sorted(vertices, key=lambda v: (v.seq, v.leader_index)):
-        at = bisect_left(range((len(out) - 4) // 8), (v.seq, v.leader_index), lo=at, key=order)
+    for v in new[:split]:
+        at = bisect_left(range(n), v.sort_key(), lo=at, key=order)
         out[4 + 8 * at : 4 + 8 * at] = v.encode()
         at += 1
-    out[:4] = _U32.pack((len(out) - 4) // 8)
+        n += 1
+    tail = new[split:]
+    out += struct.pack(f">{2 * len(tail)}I", *chain.from_iterable(tail))
+    out[:4] = _U32.pack(n + len(tail))
     return bytes(out)
 
 
@@ -348,11 +411,11 @@ _payload = _union(
 )
 _deps = _union(
     "deps", 0,
-    (ExactDeps, (_write_exact_deps, _read_exact_deps)),
+    (ExactDeps, _Codec(_write_exact_deps, _read_exact_deps)),
     (CompactDeps, _record(CompactDeps, _tuple_of(_opt_u32))),
 )
 _proposal = _record(Proposal, _payload, _deps)
-_write_message, _read_message = _union(
+_message = _union(
     "message", 1,
     (ClientRequest, _record(ClientRequest, _command)),
     (DepRequest, _record(DepRequest, _vertex, _payload)),
@@ -366,6 +429,7 @@ _write_message, _read_message = _union(
     (Commit, _record(Commit, _vertex, _proposal)),
     (ClientResponse, _record(ClientResponse, _text, _u32, _flag, _optional(_blob))),
 )
+_write_message, _read_message = _message.write, _message.read
 
 
 def encode_message(msg: Message) -> bytes:

@@ -173,10 +173,7 @@ def test_membership_size_and_iteration_match_expansion(d, v):
     assert len(d) == len(d.expand())
 
 
-@given(
-    st.one_of(exact_deps, compact_deps),
-    st.dictionaries(st.integers(0, 3), st.integers(-1, 5), max_size=4),
-)
+@given(compact_deps, st.dictionaries(st.integers(0, 3), st.integers(-1, 5), max_size=4))
 def test_above_yields_exactly_the_covered_ids_over_low(d, low):
     above = list(d.above(low))
     assert len(above) == len(set(above))

@@ -3,9 +3,10 @@ node, the replica's commit path and the checker must not grow with the
 history. Each guard counts work, not time, by wrapping a method for the
 length of one run, and compares a 200-command run with a 3200-command run
 of the same all-conflict workload. With exact deps, the wire trace's
-packing and the checker's probes are guarded the same way, at 200 and 800
-commands, since the trace is about 370 MB at 3200. A last guard bounds the
-replica's executed-id state after a long conflict-free run."""
+packing, the replica's probes of its executed state and the checker's
+probes are guarded the same way, at 200 and 800 commands, since the trace
+is about 370 MB at 3200. A last guard bounds the replica's executed-id
+state after a long conflict-free run."""
 
 import dataclasses
 import random
@@ -171,6 +172,48 @@ def test_exact_checker_probes_do_not_grow_with_history():
     committed before it in one set operation, so only the few left over
     are probed in Python, however long the history."""
     small, large = map(count_exact_probes, (200, 800))
+    assert large <= 1.5 * small
+
+
+def count_executed_state_probes(commands):
+    """Probes of every replica's executed-id state, its `low` watermarks and
+    its `sparse` ids, per exact-deps add, on one exact-deps all-conflict run."""
+    sim_config, workload = all_conflict(commands, compact_deps=False)
+    tally = Counter()
+
+    class CountingLow(dict):
+        def get(self, *args):
+            tally["probes"] += 1
+            return super().get(*args)
+
+    class CountingSparse(set):
+        def __contains__(self, item):
+            tally["probes"] += 1
+            return super().__contains__(item)
+
+    init, add = CommitGraph.__init__, CommitGraph.add
+
+    def counting_init(self):
+        init(self)
+        self.executed.low, self.executed.sparse = CountingLow(), CountingSparse()
+
+    def counted_add(self, v, p):
+        fresh = add(self, v, p)
+        tally["adds"] += fresh and isinstance(p.deps, ExactDeps)
+        return fresh
+
+    with patch.object(CommitGraph, "__init__", counting_init), \
+            patch.object(CommitGraph, "add", counted_add):
+        result = run_simulation(sim_config, workload)
+    assert result.completed and tally["adds"]
+    return tally["probes"] / tally["adds"]
+
+
+def test_exact_commit_probes_do_not_grow_with_history():
+    """An exact set is added less the exact deps of an executed vertex, in
+    one set difference, so only the few deps left over probe the executed
+    state, however long the history."""
+    small, large = map(count_executed_state_probes, (200, 800))
     assert large <= 1.5 * small
 
 

@@ -8,6 +8,7 @@ from fuzz_helpers import conflicts, reference_execute_eligible
 from graphsmr.core import (
     Batch,
     Command,
+    CompactDeps,
     EMPTY_DEPS,
     ExactDeps,
     Get,
@@ -446,3 +447,41 @@ def test_execution_matches_full_traversal_oracle(data):
             oracle.commit(v, proposals[v], 0.0)
         )
     assert rep.kv == oracle.kv
+
+
+@given(st.data())
+@settings(max_examples=80, deadline=None)
+def test_waiting_list_matches_a_plain_set_oracle(data):
+    """Random exact or compact dependency graphs, with cycles and deps that
+    are never committed, committed in random orders: right after each add,
+    a vertex waits on exactly its deps that a plain set of the executed ids
+    lacks, less itself, in vertex order. The executed exact deps that add()
+    subtracts whole never hold a vertex that has not executed."""
+    universe = [VertexId(i % 3, i // 3) for i in range(data.draw(st.integers(1, 12)))]
+    committed = data.draw(st.lists(st.sampled_from(universe), min_size=1, unique=True))
+    if data.draw(st.booleans(), label="exact"):
+        dep_sets = st.lists(st.sampled_from(universe), max_size=6).map(
+            lambda vs: ExactDeps(frozenset(vs))
+        )
+    else:
+        dep_sets = st.lists(
+            st.one_of(st.none(), st.integers(0, 3)), min_size=3, max_size=3
+        ).map(lambda ws: CompactDeps(tuple(ws)))
+    proposals = {
+        v: Proposal(Command(f"c{n}", 1, Set(b"x", bytes([n]))), data.draw(dep_sets))
+        for n, v in enumerate(committed)
+    }
+    rep, executed = make_replica(), set()
+    add = rep.graph.add
+
+    def checked_add(v, p):
+        fresh = add(v, p)
+        want = sorted(p.deps.expand() - executed - {v}, key=VertexId.sort_key)
+        assert rep.graph.waiting[v] == want
+        return fresh
+
+    rep.graph.add = checked_add
+    for v in data.draw(st.permutations(committed)):
+        executed.update(e.v for e in execs(rep.commit(v, proposals[v], 0.0)))
+        assert rep.graph.executed_deps <= executed
+    assert executed == set(rep.graph.committed) - set(rep.graph.waiting)

@@ -177,6 +177,54 @@ def test_exact_deps_golden_bytes():
 
 GOLDEN_MESSAGES = [
     pytest.param(
+        ClientRequest(Command("c", 7, Set(b"k", b"v"))),
+        "01" "00000001" "63" "00000007"  # ClientRequest tag, client c, seq 7
+        "01" "00000001" "6b" "00000001" "76",  # Set k v
+        id="client-request",
+    ),
+    pytest.param(
+        DepRequest(VertexId(1, 2), Command("c", 7, Get(b"k"))),
+        "02" "00000001" "00000002"  # DepRequest tag, vertex (1, 2)
+        "00" "00000001" "63" "00000007" "00" "00000001" "6b",  # Command c/7 Get k
+        id="dep-request",
+    ),
+    pytest.param(
+        DepReply(
+            VertexId(1, 2),
+            Batch((Command("c", 1, Get(b"k")),)),
+            ExactDeps(frozenset({VertexId(1, 1), VertexId(0, 1)})),
+        ),
+        "03" "00000001" "00000002"  # DepReply tag, vertex (1, 2)
+        "02" "00000001"  # Batch of 1 command
+        "00000001" "63" "00000001" "00" "00000001" "6b"  # c/1 Get k
+        "00" "00000002"  # exact deps, 2 vertices
+        "00000000" "00000001"  # (0, 1)
+        "00000001" "00000001",  # (1, 1)
+        id="dep-reply-batch-exact",
+    ),
+    pytest.param(
+        ProposeRequest(VertexId(0, 4), Proposal(NOOP, CompactDeps((None, None)))),
+        "04" "00000000" "00000004"  # ProposeRequest tag, vertex (0, 4)
+        "01"  # noop
+        "01" "00000002" "00" "00000000" "00" "00000000",  # compact deps, none on 2 leaders
+        id="propose-request-noop-compact",
+    ),
+    pytest.param(
+        Phase1a(VertexId(2, 9), 3),
+        "05" "00000002" "00000009" "00000003",  # Phase1a tag, vertex (2, 9), round 3
+        id="phase1a",
+    ),
+    pytest.param(
+        Phase2b(VertexId(1, 2), 4),
+        "08" "00000001" "00000002" "00000004",  # Phase2b tag, vertex (1, 2), round 4
+        id="phase2b",
+    ),
+    pytest.param(
+        Nack(VertexId(0, 3), 5),
+        "09" "00000000" "00000003" "00000005",  # Nack tag, vertex (0, 3), promised 5
+        id="nack",
+    ),
+    pytest.param(
         Phase2a(VertexId(1, 2), 4, Proposal(
             Batch((Command("c", 1, Get(b"k")), Command("d", 2, Set(b"k", b"v")))),
             CompactDeps((3, None)),
