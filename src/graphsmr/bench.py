@@ -65,7 +65,6 @@ class BenchReport:
     p99_ms: float
     role_loads: dict[str, Fraction]
     config: BenchConfig
-    checked: bool
     commands: int
 
     def csv_row(self) -> str:
@@ -180,6 +179,5 @@ def run_bench(config: BenchConfig) -> BenchReport:
         p99_ms=percentile(latencies, 0.99),
         role_loads=role_loads(run) if isinstance(run, SimResult) and latencies else {},
         config=config,
-        checked=True,
         commands=commands,
     )

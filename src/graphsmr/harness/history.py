@@ -8,14 +8,14 @@ judge histories produced by mutated (deliberately broken) deployments.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
+from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import chain, combinations
-from math import inf
 from typing import Iterable, Optional
 
 from ..consensus import ChosenEvent
-from ..core import CompactDeps, ExactDeps, Get, Proposal, VertexId, key_access
+from ..core import ExactDeps, Get, Proposal, VertexId, key_access
 from ..replica import CommitSeen, ExecEvent, RespondEvent
 
 Record = tuple[float, int, object]
@@ -89,17 +89,21 @@ def _history_unlinked(
     proposals: dict[VertexId, Proposal],
     rank: dict[VertexId, int],
 ) -> list[tuple[VertexId, VertexId]]:
-    """The unlinked conflicting pairs on one key whose vertices do not all
-    carry compact deps, as (earlier, later) pairs in vertex order.
+    """The unlinked conflicting pairs on one key, as (earlier, later) pairs
+    in vertex order, whatever the format of each vertex's deps.
 
     The key's vertices are walked in history order (rank: the order of each
     vertex's first commit record). A vertex's candidates are the conflicting
-    vertices walked before it that its deps leave out: one C-level set
-    difference for exact deps, a filter for compact ones. Each candidate a
-    is then probed the other way, v in a's deps. A vertex's exact deps hold
-    every conflicting vertex the dependency service saw before it, nearly
-    all of those committed before it, so the candidates are the few that
-    were in flight beside it, however long the history.
+    vertices walked before it that its deps leave out. For exact deps that
+    is one C-level set difference. For compact deps the walk also keeps,
+    per leader, the sorted seqs of the vertices walked so far (all of them,
+    and the writers alone): a watermark leaves out the suffix of its
+    leader's row above it, found by one bisection, and a None or missing
+    watermark the whole row. Each candidate a is then probed the other way,
+    v in a's deps. A vertex's deps hold nearly every conflicting vertex the
+    dependency service saw before it, most of those committed before it, so
+    the candidates are the few that were in flight beside it, however long
+    the history.
 
     The pairs come out in the order of a walk over the writers in vertex
     order, each paired with the earlier writers and then with every reader,
@@ -107,21 +111,30 @@ def _history_unlinked(
     is_writer = set(writers)
     seen_writers: set[VertexId] = set()
     seen: set[VertexId] = set()
+    writer_rows: defaultdict[int, list[int]] = defaultdict(list)
+    rows: defaultdict[int, list[int]] = defaultdict(list)
     found: list[tuple[VertexId, VertexId]] = []
     for v in sorted(chain(writers, readers), key=rank.__getitem__):
         writes = v in is_writer
-        partners = seen if writes else seen_writers
+        partners, partner_rows = (seen, rows) if writes else (seen_writers, writer_rows)
         deps = proposals[v].deps
         if isinstance(deps, ExactDeps):
             candidates: Iterable[VertexId] = partners - deps.vertices
         else:
-            candidates = [a for a in partners if a not in deps]
+            marks = deps.watermarks
+            candidates = []
+            for i, row in partner_rows.items():
+                w = marks[i] if i < len(marks) else None
+                start = 0 if w is None else bisect_right(row, w)
+                candidates.extend(VertexId(i, s) for s in row[start:])
         for a in candidates:
             if v not in proposals[a].deps:
                 found.append((a, v) if a < v else (v, a))
         seen.add(v)
+        insort(rows[v.leader_index], v.seq)
         if writes:
             seen_writers.add(v)
+            insort(writer_rows[v.leader_index], v.seq)
 
     def walk_order(pair: tuple[VertexId, VertexId]):
         """(writer, partner is a reader, partner): the later vertex leads
@@ -132,62 +145,6 @@ def _history_unlinked(
         return a.sort_key(), True, b.sort_key()
 
     return sorted(found, key=walk_order)
-
-
-def _compact_unlinked(
-    writers: list[VertexId],
-    readers: list[VertexId],
-    proposals: dict[VertexId, Proposal],
-) -> list[tuple[VertexId, VertexId]]:
-    """The unlinked conflicting pairs on one key whose vertices all carry
-    compact deps, as (earlier, later) pairs in vertex order.
-
-    With watermarks, a is outside b's deps iff a.seq > cover[b][a.leader]
-    (a missing or None watermark counts as -1). So for a writer b and a
-    leader i, the vertices b leaves out are a suffix of the key's leader-i
-    writers, and of its leader-i readers, in seq order, found by bisection.
-    A suffix minimum of cover[a][b.leader] over that list says in O(1)
-    whether the suffix holds an a that leaves b out as well. A pair of
-    writers of one leader is looked for from the earlier one only, so b
-    never meets itself. Cost: O(n * L * log n) for n vertices and L
-    leaders, plus a walk of each suffix that holds an unlinked partner."""
-    vertices = list(chain(writers, readers))
-    nl = 1 + max(v.leader_index for v in vertices)
-    cover: dict[VertexId, list[int]] = {}
-    for v in vertices:
-        marks = proposals[v].deps.watermarks[:nl]
-        cover[v] = [-1 if w is None else w for w in marks] + [-1] * (nl - len(marks))
-
-    def by_leader(members: Iterable[VertexId]):
-        """leader -> (seqs, vertices, suffix minima per target leader)."""
-        groups: dict[int, tuple[list[int], list[VertexId], list[list[float]]]] = {}
-        for v in members:
-            group = groups.setdefault(v.leader_index, ([], [], []))
-            group[0].append(v.seq)
-            group[1].append(v)
-        for _, group, minima in groups.values():
-            for j in range(nl):
-                low: list[float] = [inf] * (len(group) + 1)
-                for p in range(len(group) - 1, -1, -1):
-                    low[p] = min(low[p + 1], cover[group[p]][j])
-                minima.append(low)
-        return groups
-
-    writer_groups, reader_groups = by_leader(writers), by_leader(readers)
-    pairs: set[tuple[VertexId, VertexId]] = set()
-    for j, (_, own, _) in writer_groups.items():
-        for pos, b in enumerate(own):
-            s, marks = b.seq, cover[b]
-            for groups in (writer_groups, reader_groups):
-                for i, (seqs, group, minima) in groups.items():
-                    start = bisect_right(seqs, marks[i])
-                    if group is own:
-                        start = max(start, pos + 1)
-                    if minima[j][start] < s:
-                        for a in group[start:]:
-                            if cover[a][j] < s:
-                                pairs.add((a, b) if a < b else (b, a))
-    return sorted(pairs)
 
 
 def _order_inversion(
@@ -254,22 +211,16 @@ def check_history(records: list[Record]) -> Verdict:
                 )
                 break
 
-    # (c) dependency invariant: every conflicting pair has an edge. A key
-    # whose vertices all carry compact deps is checked per leader; any other
-    # key is walked in history order, the order of first commit records,
-    # which is proposals' insertion order. A pair that conflicts on several
-    # keys is reported once
+    # (c) dependency invariant: every conflicting pair has an edge. Each key
+    # is walked in history order, the order of first commit records, which
+    # is proposals' insertion order. A pair that conflicts on several keys
+    # is reported once
     index = _key_index(proposals)
     rank = {v: i for i, v in enumerate(proposals)}
     unlinked: set[tuple[VertexId, VertexId]] = set()
     for key in sorted(index):
         writers, readers = index[key]
-        found: Iterable[tuple[VertexId, VertexId]]
-        if all(isinstance(proposals[v].deps, CompactDeps) for v in chain(writers, readers)):
-            found = _compact_unlinked(writers, readers, proposals)
-        else:
-            found = _history_unlinked(writers, readers, proposals, rank)
-        for a, b in found:
+        for a, b in _history_unlinked(writers, readers, proposals, rank):
             if (a, b) not in unlinked:
                 unlinked.add((a, b))
                 violations.append(

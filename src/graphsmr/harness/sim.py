@@ -135,18 +135,27 @@ class Simulation:
         self.crashes: dict[str, float] = {}
         self.partitions: list[Partition] = []
         self.link_faults: list[LinkFault] = []
+        # a fault that can never fire is a typo, not a fault-free run
         for fault in faults:
             if isinstance(fault, Crash):
+                named = {fault.node}
                 self.crashes[fault.node] = min(
                     fault.at_ms, self.crashes.get(fault.node, fault.at_ms)
                 )
             elif isinstance(fault, Partition):
+                if fault.end_ms < fault.start_ms:
+                    raise ConfigError(f"partition ends before it starts: {fault!r}")
+                named = fault.nodes
                 self.partitions.append(fault)
             elif isinstance(fault, LinkFault):
                 check_probabilities(fault.drop, fault.dup)
+                named = {fault.src, fault.dst} - {"*"}
                 self.link_faults.append(fault)
             else:
                 raise ConfigError(f"unknown fault {fault!r}")
+            unknown = sorted(named - self.roles.keys())
+            if unknown:
+                raise ConfigError(f"{fault!r} names unknown nodes: {', '.join(unknown)}")
 
     def _partitioned(self, src: str, dst: str, t: float) -> bool:
         for p in self.partitions:

@@ -11,7 +11,7 @@ import random
 from bisect import bisect_left
 
 from graphsmr.consensus import ChosenEvent
-from graphsmr.core import CompactDeps, Get, Op, Payload, Set, VertexId, footprint, key_access
+from graphsmr.core import Get, Op, Payload, Set, VertexId, footprint, key_access
 from graphsmr.harness import Crash, SimConfig, Timeouts, export_history
 from graphsmr.harness.mutations import Mutations
 from graphsmr.replica import CommitSeen, ExecEvent, _tarjan_sccs
@@ -220,8 +220,7 @@ def conflicting_pairs(writers: list, readers: list):
 def ordered_unlinked_pairs(records) -> list[tuple[VertexId, VertexId]]:
     """Reference for the order of check_history's dependency-invariant
     violations: keys in sorted order, each key's unlinked pairs in
-    conflicting_pairs order (sorted instead on a key whose vertices all
-    carry compact deps), and a pair that conflicts on several keys kept
+    conflicting_pairs order, and a pair that conflicts on several keys kept
     where it first appears."""
     proposals = {}
     for rec in records:
@@ -239,8 +238,6 @@ def ordered_unlinked_pairs(records) -> list[tuple[VertexId, VertexId]]:
             (a, b) for a, b in conflicting_pairs(writers, readers)
             if a not in proposals[b].deps and b not in proposals[a].deps
         ]
-        if all(isinstance(proposals[v].deps, CompactDeps) for v in writers + readers):
-            unlinked.sort()
         found.extend(pair for pair in unlinked if pair not in found)
     return found
 

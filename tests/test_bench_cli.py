@@ -96,7 +96,6 @@ class TestRunBench:
         a = run_bench(BenchConfig(**cfg))
         b = run_bench(BenchConfig(**cfg))
         assert (a.throughput, a.p50_ms, a.p99_ms) == (b.throughput, b.p50_ms, b.p99_ms)
-        assert a.checked
 
     def test_csv_row_schema(self):
         report = run_bench(

@@ -74,11 +74,11 @@ def count_work(commands):
             yield row
 
     def counted_contains(self, v):
-        tally["probes"] += 1
+        tally["membership probes"] += 1
         return contains(self, v)
 
     def counted_bisect(*args):
-        tally["probes"] += 1
+        tally["bisections"] += 1
         return bisect_right(*args)
 
     with patch.object(CompactDeps, "above", counted_above), \
@@ -89,6 +89,7 @@ def count_work(commands):
     with patch.object(CompactDeps, "__contains__", counted_contains), \
             patch.object(history, "bisect_right", counted_bisect):
         assert check_history(result.history).ok
+    tally["probes"] = tally["membership probes"] + tally["bisections"]
     tally["vertices"] = vertices(result)
     return tally
 
@@ -113,6 +114,11 @@ def test_dep_index_reads_do_not_grow_with_history(work):
 
 
 def test_checker_probes_do_not_grow_with_history(work):
+    """The checker's walk bisects each leader's row of seqs and probes the
+    candidates the bisection leaves, so both counts must be nonzero: a walk
+    that went round either hook would pass on an empty count."""
+    for n in SIZES:
+        assert work[n]["bisections"] > 0 and work[n]["membership probes"] > 0
     small, large = per(work, "probes", "vertices")
     assert large <= 1.5 * small
 

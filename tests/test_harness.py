@@ -313,8 +313,18 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             run_simulation(SimConfig(seed=0, drop_prob=1.5), simple_workload())
 
-    @pytest.mark.parametrize("fault", [LinkFault("*", "*", drop=1.5),
-                                       LinkFault("leader-0", "*", dup=-0.1)])
+    @pytest.mark.parametrize("fault", [
+        LinkFault("*", "*", drop=1.5),
+        LinkFault("leader-0", "*", dup=-0.1),
+        # faults that can never fire: a node the cluster lacks, or a
+        # partition that ends before it starts
+        pytest.param(Crash("leader-9", 10.0), id="crash-unknown-node"),
+        pytest.param(Partition(frozenset({"rep-0", "rep0"}), 5.0, 60.0),
+                     id="partition-unknown-node"),
+        pytest.param(Partition(frozenset({"rep-0"}), 60.0, 5.0), id="partition-inverted"),
+        pytest.param(LinkFault("*", "dep-7", drop=0.5), id="link-unknown-dst"),
+        pytest.param(LinkFault("leader0", "*", dup=0.5), id="link-unknown-src"),
+    ])
     def test_bad_link_fault_probability_rejected(self, fault):
         with pytest.raises(ConfigError):
             run_simulation(SimConfig(seed=0), simple_workload(), [fault])
@@ -368,8 +378,14 @@ class TestCheckerOnSyntheticHistories:
             # the first vertex is (0, 3): a watermark of 2 stops one short
             (CompactDeps((None, None)), CompactDeps((2, None)), True),
             (CompactDeps((None, None)), CompactDeps((3, None)), False),
+            # a tuple shorter than the leader count reads as None past its end:
+            # on the first vertex's side, then on the second's
+            (CompactDeps((None,)), CompactDeps((2,)), True),
+            (CompactDeps((None,)), CompactDeps((3,)), False),
+            (CompactDeps((None,)), CompactDeps(()), True),
         ],
-        ids=["exact-empty", "compact-one-short", "compact-covers"],
+        ids=["exact-empty", "compact-one-short", "compact-covers",
+             "compact-short-one-short", "compact-short-covers", "compact-empty-tuple"],
     )
     def test_dependency_invariant_violation(self, first_deps, second_deps, flagged):
         first = VertexId(0, 3)
