@@ -52,6 +52,9 @@ class BenchConfig:
         if self.transport not in ("sim", "socket"):
             raise ValueError(f"unknown transport {self.transport!r}")
         check_delays(self.min_delay_ms, self.max_delay_ms, self.service_cost_ms)
+        if self.transport == "socket" and self.service_cost_ms > 0:
+            raise ValueError("sockets have no service-time model: "
+                             "service_cost_ms must be 0 on transport socket")
 
 
 class IncompleteRun(Exception):

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Optional
 
 from ..consensus import Acceptor, Proposer
 from ..core import Command, Op
@@ -137,8 +138,9 @@ def layout(f: int, leaders: int, replicas: int, clients: int) -> ClusterLayout:
     )
 
 
-def check_probabilities(drop: float, dup: float) -> None:
-    if not (0.0 <= drop <= 1.0 and 0.0 <= dup <= 1.0):
+def check_probabilities(drop: Optional[float], dup: Optional[float]) -> None:
+    """None stands for a probability left unset."""
+    if not all(p is None or 0.0 <= p <= 1.0 for p in (drop, dup)):
         raise ConfigError("probabilities must lie in [0, 1]")
 
 

@@ -67,12 +67,14 @@ class Crash:
 
 @dataclass(frozen=True)
 class LinkFault:
-    """Overrides drop/duplication probability on src->dst ("*" wildcards)."""
+    """Overrides the drop and duplication probabilities it sets on src->dst
+    ("*" wildcards). Each probability of a link comes from the first
+    matching fault that sets it, else from the run's drop_prob or dup_prob."""
 
     src: str
     dst: str
-    drop: float = 0.0
-    dup: float = 0.0
+    drop: Optional[float] = None
+    dup: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -143,8 +145,8 @@ class Simulation:
                     fault.at_ms, self.crashes.get(fault.node, fault.at_ms)
                 )
             elif isinstance(fault, Partition):
-                if fault.end_ms < fault.start_ms:
-                    raise ConfigError(f"partition ends before it starts: {fault!r}")
+                if fault.end_ms <= fault.start_ms:
+                    raise ConfigError(f"partition does not end after it starts: {fault!r}")
                 named = fault.nodes
                 self.partitions.append(fault)
             elif isinstance(fault, LinkFault):
@@ -168,10 +170,14 @@ class Simulation:
         partition, none of it depends on the time of a send."""
         if self.machine_of.get(src) == self.machine_of.get(dst) and src != dst:
             return True, 0.0, 0.0
-        for lf in self.link_faults:
+        drop = dup = None
+        # the run's probabilities apply to every link no fault sets them on
+        run = LinkFault("*", "*", self.config.drop_prob, self.config.dup_prob)
+        for lf in (*self.link_faults, run):
             if lf.src in ("*", src) and lf.dst in ("*", dst):
-                return False, lf.drop, lf.dup
-        return False, self.config.drop_prob, self.config.dup_prob
+                drop = lf.drop if drop is None else drop
+                dup = lf.dup if dup is None else dup
+        return False, drop, dup
 
     # -- main loop ---------------------------------------------------------
 

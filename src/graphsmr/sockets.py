@@ -1,5 +1,12 @@
-"""Real-socket transport: the same role state machines, one thread per node,
-length-prefixed frames over loopback TCP.
+"""Real-socket transport: the same role state machines, length-prefixed
+frames over loopback TCP, driven by one selector loop in the caller's thread
+with one timer heap, as in the simulator. It starts no thread.
+
+Each node listens on its own port; an accepted connection delivers to its
+listener's node, and the frame header names the source. Each (src, dst) pair
+sends over one connection, opened on its first send. No call blocks: a read
+drains the socket, and a connection waits to be writable only while the
+kernel has not taken all its bytes.
 
 Provides no determinism and no fault injection; it exists to show the roles
 run unchanged off the simulator and for smoke-level benchmarking. Safety
@@ -9,142 +16,28 @@ acceptance runs stay on the simulator.
 from __future__ import annotations
 
 import heapq
-import queue
+import selectors
 import socket
-import threading
 import time
 from dataclasses import dataclass
+from functools import partial
 
 from .harness.cluster import build_cluster
 from .harness.history import Record
 from .messages import Note, Send, SetTimer
 from .wire import decode_frame, encode_frame, split_frames
 
-POLL_MS = 10.0  # how often SocketCluster.run looks whether every client is done
 
+class _Conn:
+    """A TCP connection: an accepted one reads frames for node, an outbound
+    one holds the frames the kernel has not taken yet."""
 
-class _HistorySink:
-    def __init__(self) -> None:
-        self.lock = threading.Lock()
-        self.records: list[Record] = []
-
-    def append(self, t: float, event) -> None:
-        with self.lock:
-            self.records.append((t, len(self.records), event))
-
-
-class _NodeThread(threading.Thread):
-    def __init__(self, cluster: "SocketCluster", name: str, role) -> None:
-        super().__init__(name=f"node-{name}", daemon=True)
-        self.cluster = cluster
-        self.node = name
-        self.role = role
-        self.inbox: queue.Queue = queue.Queue()
-        self.timers: list[tuple[float, int, tuple]] = []
-        self._timer_seq = 0
-        self.listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        self.listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        self.listener.bind(("127.0.0.1", 0))
-        self.listener.listen(16)
-        self.port = self.listener.getsockname()[1]
-        self.outbound: dict[str, socket.socket] = {}
-        self.inbound: list[socket.socket] = []  # accepted connections, shut by close()
-        self._inbound_lock = threading.Lock()
-
-    # -- wiring -------------------------------------------------------------
-
-    def start_listener(self) -> None:
-        def accept_loop():
-            while True:
-                try:
-                    conn, _addr = self.listener.accept()
-                except OSError:
-                    return
-                with self._inbound_lock:
-                    # close() runs after stopping is set: a connection
-                    # accepted once it has taken the list is closed here
-                    if self.cluster.stopping.is_set():
-                        conn.close()
-                        return
-                    self.inbound.append(conn)
-                threading.Thread(
-                    target=self._read_loop, args=(conn,), daemon=True
-                ).start()
-
-        threading.Thread(target=accept_loop, daemon=True).start()
-
-    def _read_loop(self, conn: socket.socket) -> None:
-        with conn:
-            buf = b""
-            conn.settimeout(0.5)
-            while not self.cluster.stopping.is_set():
-                try:
-                    chunk = conn.recv(65536)
-                except socket.timeout:
-                    continue
-                except OSError:
-                    return
-                if not chunk:
-                    return
-                frames, buf = split_frames(buf + chunk)
-                for frame in frames:
-                    self.inbox.put(decode_frame(frame))
-
-    def _connection_to(self, dst: str) -> socket.socket:
-        sock = self.outbound.get(dst)
-        if sock is None:
-            sock = socket.create_connection(
-                ("127.0.0.1", self.cluster.ports[dst]), timeout=2.0
-            )
-            self.outbound[dst] = sock
-        return sock
-
-    # -- node loop ----------------------------------------------------------
-
-    def run(self) -> None:
-        while not self.cluster.stopping.is_set():
-            now = self.cluster.now_ms()
-            while self.timers and self.timers[0][0] <= now:
-                _deadline, _n, key = heapq.heappop(self.timers)
-                self._apply(self.role.on_timer(key, now), now)
-            wait = 0.05
-            if self.timers:
-                wait = min(wait, max(0.0, (self.timers[0][0] - now) / 1000.0))
-            try:
-                src, msg = self.inbox.get(timeout=wait)
-            except queue.Empty:
-                continue
-            now = self.cluster.now_ms()
-            self._apply(self.role.on_message(src, msg, now), now)
-
-    def _apply(self, effects, now: float) -> None:
-        for eff in effects:
-            if isinstance(eff, Send):
-                try:
-                    frame = encode_frame(self.node, eff.msg)
-                    self._connection_to(eff.dst).sendall(frame)
-                except OSError:
-                    self.outbound.pop(eff.dst, None)
-            elif isinstance(eff, SetTimer):
-                heapq.heappush(
-                    self.timers, (now + eff.delay_ms, self._timer_seq, eff.key)
-                )
-                self._timer_seq += 1
-            elif isinstance(eff, Note):
-                self.cluster.history.append(now, eff.event)
-
-    def kick(self) -> None:
-        heapq.heappush(self.timers, (0.0, self._timer_seq, ("start",)))
-        self._timer_seq += 1
-
-    def close(self) -> None:
-        with self._inbound_lock:
-            inbound = list(self.inbound)
-        for sock in [self.listener, *inbound, *self.outbound.values()]:
-            try:
-                sock.close()
-            except OSError:
-                pass
+    def __init__(self, sock: socket.socket, node: str = "") -> None:
+        sock.setblocking(False)
+        self.sock = sock
+        self.node = node
+        self.unparsed = b""
+        self.unsent = bytearray()
 
 
 @dataclass
@@ -156,51 +49,133 @@ class SocketRunResult:
 
 
 class SocketCluster:
-    """Stands up every role (and client) as a thread with a TCP endpoint."""
+    """Stands up every role (and client) as a TCP endpoint of one loop."""
 
     def __init__(self, sim_config, workload) -> None:
-        roles, _machines, clients, layout = build_cluster(sim_config, workload)
-        self.clients = clients
-        self.layout = layout
-        self.stopping = threading.Event()
-        self.history = _HistorySink()
+        self.roles, _machines, self.clients, self.layout = build_cluster(
+            sim_config, workload
+        )
         self._t0 = time.monotonic()
-        self.nodes = {name: _NodeThread(self, name, role) for name, role in roles.items()}
-        self.ports = {name: node.port for name, node in self.nodes.items()}
 
     def now_ms(self) -> float:
         return (time.monotonic() - self._t0) * 1000.0
 
     def run(self, wall_limit_ms: float = 30_000.0) -> SocketRunResult:
-        for node in self.nodes.values():
-            node.start_listener()
-        for node in self.nodes.values():
-            node.start()
-        for client in self.clients:
-            self.nodes[client.name].kick()
-        deadline = time.monotonic() + wall_limit_ms / 1000.0
+        roles = self.roles
+        deadline = self.now_ms() + wall_limit_ms
+        history: list[Record] = []
+        # (deadline_ms, insertion seq, node, key)
+        timers = [(0.0, n, c.name, ("start",)) for n, c in enumerate(self.clients)]
+        seq = len(timers)
+        waiting = {c.name for c in self.clients if not c.done}
+        ports: dict[str, int] = {}
+        outbound: dict[tuple[str, str], _Conn] = {}
+        written: list[tuple[str, str]] = []  # links given bytes since the last flush
+        socks: list[socket.socket] = []  # every socket opened, closed at the end
+        sel = selectors.DefaultSelector()
+
+        def apply(node: str, effects, now: float) -> None:
+            nonlocal seq
+            for eff in effects:
+                if isinstance(eff, Send):
+                    link = (node, eff.dst)
+                    conn = outbound.get(link)
+                    if conn is None:
+                        conn = outbound[link] = _Conn(socket.socket())
+                        socks.append(conn.sock)
+                        conn.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+                        conn.sock.connect_ex(("127.0.0.1", ports[eff.dst]))
+                    if not conn.unsent:
+                        written.append(link)
+                    conn.unsent += encode_frame(node, eff.msg)
+                elif isinstance(eff, SetTimer):
+                    heapq.heappush(timers, (now + eff.delay_ms, seq, node, eff.key))
+                    seq += 1
+                elif isinstance(eff, Note):
+                    history.append((now, len(history), eff.event))
+            if node in waiting and roles[node].done:
+                waiting.discard(node)
+
+        def flush(link: tuple[str, str]) -> None:
+            conn = outbound[link]
+            writing = conn.sock in sel.get_map()
+            try:
+                del conn.unsent[: conn.sock.send(conn.unsent)]
+            except BlockingIOError:
+                pass  # still connecting, or the kernel's buffer is full
+            except OSError:
+                # the peer is gone: its frames are lost, as on a lossy
+                # network, and the next send opens a new connection
+                if writing:
+                    sel.unregister(conn.sock)
+                conn.sock.close()
+                del outbound[link]
+                return
+            if conn.unsent and not writing:
+                sel.register(conn.sock, selectors.EVENT_WRITE, partial(flush, link))
+            elif writing and not conn.unsent:
+                sel.unregister(conn.sock)
+
+        def accept(listener: socket.socket, node: str) -> None:
+            while True:
+                try:
+                    sock, _addr = listener.accept()
+                except BlockingIOError:
+                    return
+                socks.append(sock)
+                conn = _Conn(sock, node)
+                sel.register(sock, selectors.EVENT_READ, partial(read, conn))
+
+        def read(conn: _Conn) -> None:
+            role = roles[conn.node]
+            while True:
+                try:
+                    chunk = conn.sock.recv(65536)
+                except BlockingIOError:
+                    return
+                if not chunk:
+                    sel.unregister(conn.sock)
+                    conn.sock.close()
+                    return
+                frames, conn.unparsed = split_frames(conn.unparsed + chunk)
+                now = self.now_ms()
+                for frame in frames:
+                    src, msg = decode_frame(frame)
+                    apply(conn.node, role.on_message(src, msg, now), now)
+
         try:
-            while time.monotonic() < deadline:
-                if all(c.done for c in self.clients):
+            for node in roles:
+                listener = socket.create_server(("127.0.0.1", 0))
+                socks.append(listener)
+                listener.setblocking(False)
+                ports[node] = listener.getsockname()[1]
+                sel.register(listener, selectors.EVENT_READ, partial(accept, listener, node))
+            while True:
+                now = self.now_ms()
+                while timers and timers[0][0] <= now:
+                    _deadline, _n, node, key = heapq.heappop(timers)
+                    apply(node, roles[node].on_timer(key, now), now)
+                for link in written:
+                    flush(link)
+                written.clear()
+                if not waiting or now >= deadline:
                     break
-                time.sleep(POLL_MS / 1000.0)
-            # the run ends at the last reply if its clients are done, else at
-            # the deadline; neither the poll's wake-up nor shutdown is run time
-            end_ms = self.now_ms()
-            if all(c.done for c in self.clients):
-                end_ms = max(
-                    (done for c in self.clients for _sent, done in c.reply_times),
-                    default=end_ms,
-                )
+                wake = min(deadline, timers[0][0]) if timers else deadline
+                for key, _events in sel.select((wake - now) / 1000.0):
+                    key.data()
         finally:
-            self.stopping.set()
-            for node in self.nodes.values():
-                node.close()
-            for node in self.nodes.values():
-                node.join(timeout=2.0)
+            for sock in socks:
+                sock.close()
+            sel.close()
+        # the run ends at the last reply if its clients are done, else when
+        # the loop saw the deadline pass; closing the sockets is not run time
+        end_ms = now
+        completed = all(c.done for c in self.clients)
+        if completed:
+            end_ms = max(
+                (done for c in self.clients for _sent, done in c.reply_times),
+                default=end_ms,
+            )
         return SocketRunResult(
-            history=list(self.history.records),
-            completed=all(c.done for c in self.clients),
-            end_ms=end_ms,
-            clients=self.clients,
+            history=history, completed=completed, end_ms=end_ms, clients=self.clients
         )

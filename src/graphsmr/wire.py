@@ -290,8 +290,8 @@ def _optional(codec: _Codec) -> _Codec:
 # also keeps a ring of weak references to the last sets it packed, and packs
 # a new set by inserting what it adds into the bytes of the largest of them
 # it contains. The bytes are a function of the set alone, so which earlier
-# set was used, if any, cannot change them. Socket node threads encode
-# concurrently, so the ring is read and written under a lock.
+# set was used, if any, cannot change them. Any thread of the caller may
+# encode, so the ring is read and written under a lock.
 _exact_deps_bytes: "weakref.WeakKeyDictionary[ExactDeps, bytes]" = weakref.WeakKeyDictionary()
 _exact_deps_read: "weakref.WeakValueDictionary[bytes, ExactDeps]" = weakref.WeakValueDictionary()
 _recent: "deque[weakref.ref[ExactDeps]]" = deque(maxlen=16)

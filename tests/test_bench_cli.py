@@ -146,8 +146,13 @@ class TestCli:
         assert captured.out == ""
         assert captured.err.startswith("config error: ")
 
-    def test_bench_negative_service_cost_exit_two(self, capsys):
-        rc = main(["bench", "--commands-per-client", "2", "--service-cost-ms", "-1"])
+    @pytest.mark.parametrize("flags", [
+        ["--service-cost-ms", "-1"],
+        # sockets have no service-time model to spend a cost in
+        ["--transport", "socket", "--service-cost-ms", "0.1"],
+    ], ids=["negative", "socket"])
+    def test_bench_negative_service_cost_exit_two(self, capsys, flags):
+        rc = main(["bench", "--commands-per-client", "2", *flags])
         captured = capsys.readouterr()
         assert rc == 2
         assert captured.err.startswith("config error: ")

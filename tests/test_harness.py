@@ -244,6 +244,22 @@ class TestFaults:
         assert res.completed
         assert res.received.get("dep-0", 0) < res.received["dep-1"]
 
+    @pytest.mark.parametrize("config, partial, whole", [
+        # a duplicate fault keeps the run's drop probability on its links
+        pytest.param(SimConfig(seed=24, drop_prob=0.2),
+                     [LinkFault("*", "rep-0", dup=0.25)],
+                     [LinkFault("*", "rep-0", drop=0.2, dup=0.25)], id="run-drop-kept"),
+        # a later fault sets what an earlier matching one leaves unset
+        pytest.param(SimConfig(seed=24),
+                     [LinkFault("*", "*", drop=0.2), LinkFault("leader-0", "*", dup=1.0)],
+                     [LinkFault("leader-0", "*", drop=0.2, dup=1.0),
+                      LinkFault("*", "*", drop=0.2)], id="later-dup-applies"),
+    ])
+    def test_link_fault_overrides_only_the_probabilities_it_sets(self, config, partial, whole):
+        workload = simple_workload(clients=2, commands=3)
+        assert (run_fingerprint(run_simulation(config, workload, partial))
+                == run_fingerprint(run_simulation(config, workload, whole)))
+
     def test_clients_of_a_crashed_leader_move_to_a_live_one(self):
         # no loss: the only retries are those of commands sent to the dead
         # leader, so once a client has seen leader-1 time out and leader-0
@@ -317,11 +333,12 @@ class TestConfigValidation:
         LinkFault("*", "*", drop=1.5),
         LinkFault("leader-0", "*", dup=-0.1),
         # faults that can never fire: a node the cluster lacks, or a
-        # partition that ends before it starts
+        # partition that does not end after it starts
         pytest.param(Crash("leader-9", 10.0), id="crash-unknown-node"),
         pytest.param(Partition(frozenset({"rep-0", "rep0"}), 5.0, 60.0),
                      id="partition-unknown-node"),
         pytest.param(Partition(frozenset({"rep-0"}), 60.0, 5.0), id="partition-inverted"),
+        pytest.param(Partition(frozenset({"rep-0"}), 50.0, 50.0), id="partition-empty"),
         pytest.param(LinkFault("*", "dep-7", drop=0.5), id="link-unknown-dst"),
         pytest.param(LinkFault("leader0", "*", dup=0.5), id="link-unknown-src"),
     ])

@@ -2,10 +2,19 @@
 and carry no timing claims; they only show the role state machines work
 unchanged over real sockets."""
 
+import os
+import threading
+
+import pytest
+
 from graphsmr.core import Get, Set
 from graphsmr.harness.history import check_history
 from graphsmr.harness.sim import SimConfig
 from graphsmr.sockets import SocketCluster
+
+
+def open_fds() -> list[str]:
+    return sorted(os.listdir("/dev/fd"))
 
 
 def test_socket_cluster_smoke():
@@ -37,9 +46,8 @@ def test_socket_bench_reports():
 
 
 def test_end_ms_is_stamped_when_the_clients_are_done():
-    """Throughput counts the run, not the poll or the shutdown: the end is
-    the last reply, on the same clock. Neither the polling thread's wake-up
-    nor the node threads' stop, up to their 50 ms inbox timeout, counts."""
+    """Throughput counts the run, not the shutdown: the end is the last
+    reply, on the same clock. Closing the sockets does not count."""
     workload = [[Set(b"k", b"1"), Get(b"k")], [Set(b"j", b"2")]]
     run = SocketCluster(SimConfig(seed=0), workload).run(wall_limit_ms=20_000)
     assert run.completed
@@ -50,10 +58,52 @@ def test_end_ms_is_stamped_when_the_clients_are_done():
 def test_every_connection_is_closed_when_run_returns():
     workload = [[Set(b"k", b"1"), Get(b"k")], [Set(b"j", b"2")]]
     cluster = SocketCluster(SimConfig(seed=0), workload)
+    before = open_fds()
     assert cluster.run(wall_limit_ms=20_000).completed
-    nodes = cluster.nodes.values()
-    inbound = [sock for node in nodes for sock in node.inbound]
-    outbound = [sock for node in nodes for sock in node.outbound.values()]
-    assert inbound and outbound
-    # a closed socket has no file descriptor
-    assert [s for s in inbound + outbound + [n.listener for n in nodes] if s.fileno() != -1] == []
+    assert open_fds() == before
+
+
+def test_run_starts_no_thread():
+    workload = [[Set(b"k", b"1"), Get(b"k")], [Set(b"j", b"2")]]
+    cluster = SocketCluster(SimConfig(seed=0), workload)
+    client = cluster.clients[0]
+    during = []
+
+    def on_message(src, msg, now, handler=client.on_message):
+        during.append(threading.active_count())
+        return handler(src, msg, now)
+
+    client.on_message = on_message
+    before = threading.active_count()
+    assert cluster.run(wall_limit_ms=20_000).completed
+    assert during and set(during) == {before}
+    assert threading.active_count() == before
+
+
+def test_many_clients_on_a_hot_key_complete():
+    from graphsmr.bench import BenchConfig, run_bench
+
+    report = run_bench(
+        BenchConfig(
+            clients=64,
+            commands_per_client=5,
+            conflict_rate=0.5,
+            transport="socket",
+            duration_ms=20_000.0,
+        )
+    )
+    assert report.commands == 320
+
+
+def test_a_role_handler_error_ends_the_run_after_cleanup():
+    workload = [[Set(b"k", b"1"), Get(b"k")], [Set(b"j", b"2")]]
+    cluster = SocketCluster(SimConfig(seed=0), workload)
+
+    def on_message(src, msg, now):
+        raise RuntimeError("handler failed")
+
+    cluster.roles["leader-0"].on_message = on_message
+    before = open_fds()
+    with pytest.raises(RuntimeError, match="handler failed"):
+        cluster.run(wall_limit_ms=20_000)
+    assert open_fds() == before
