@@ -262,8 +262,12 @@ class Simulation:
                         heappush(heap, (done + delay, seq, _DELIVER, dst, node, eff.msg))
                         seq += 1
                 elif effect is SetTimer:
-                    heappush(heap, (done + eff.delay_ms, seq, _TIMER, node, eff.key, None))
-                    seq += 1
+                    # a timer past the cap would only end the run when
+                    # popped, which the empty heap does as well
+                    deadline = done + eff.delay_ms
+                    if deadline <= max_ms:
+                        heappush(heap, (deadline, seq, _TIMER, node, eff.key, None))
+                        seq += 1
                 elif effect is Note:
                     history.append((t, len(history), eff.event))
 

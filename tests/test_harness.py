@@ -21,6 +21,7 @@ from graphsmr.harness import (
     LinkFault,
     Partition,
     SimConfig,
+    Timeouts,
     check_history,
     export_history,
     role_loads,
@@ -143,6 +144,18 @@ class TestEventLoop:
         assert res.completed
         assert not [t for t in crossing if 10.0 <= t < 60.0]
         assert [t for t in crossing if t < 10.0] and [t for t in crossing if t >= 60.0]
+
+    def test_no_timer_past_the_cap_is_queued(self):
+        """With timeouts of 1e9 ms no timer can fire before the 60 s cap, so
+        the simulator queues none of them, and a loss-free run ends with
+        nothing left in its heap."""
+        never = Timeouts(client_retry_ms=1e9, leader_retransmit_ms=1e9,
+                         proposer_retransmit_ms=1e9, recovery_timeout_ms=1e9)
+        sim = Simulation(SimConfig(seed=3, max_delay_ms=2.0, timeouts=never),
+                         simple_workload(clients=4, commands=10))
+        res = sim.run()
+        assert res.completed
+        assert sim.heap == []
 
     def test_run_ends_at_the_last_reply(self):
         config, workload, faults = pinned_runs()["lossy-leader-crash"]
