@@ -1,7 +1,10 @@
 #!/usr/bin/env python3
 """Seeded safety fuzz: random drops, duplication, delay jitter, and up to f
 crash faults per role, across f in {1, 2} and the four workload conflict
-rates. Every history must pass the checker. Exits 1 on the first violation.
+rates. Every history must pass the checker, and every run that completes
+must, after settling for 2 s of simulated time, leave no chosen vertex
+uncommitted at a live replica (tests/fuzz_helpers.commit_holes). Exits 1 on
+the first violation.
 
 The long tier (--long N) runs N seeds of the same faults at 10 000 commands
 each, cycling through exact and compact deps at conflict rates 0.02 and 0.1
@@ -20,10 +23,12 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "tests"))
 
-from fuzz_helpers import fuzz_config, long_fuzz_config
-from graphsmr.harness import check_history, run_simulation
+from fuzz_helpers import commit_holes, fuzz_config, long_fuzz_config
+from graphsmr.harness import check_history
+from graphsmr.harness.sim import Simulation
 
 CONFLICT_RATES = (0.0, 0.02, 0.1, 1.0)
+SETTLE_MS = 2000.0
 
 
 def short_scenario(seed: int):
@@ -45,11 +50,15 @@ def main():
     for seed in range(seeds):
         config, workload, faults = scenario(seed)
         t_sim = time.time()
-        result = run_simulation(config, workload, faults)
+        result = Simulation(config, workload, faults).run(settle_ms=SETTLE_MS)
         t_check = time.time()
         verdict = check_history(result.history)
         if not verdict.ok:
             print(f"seed {seed}: VIOLATION\n{verdict}")
+            return 1
+        holes = commit_holes(result, faults, SETTLE_MS) if result.completed else []
+        if holes:
+            print(f"seed {seed}: chosen but never committed at a live replica: {holes}")
             return 1
         completed += result.completed
         if long_tier:

@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .core import Proposal, VertexId
+from .core import DenseGaps, Proposal, VertexId
 from .messages import (
     Commit,
     Effect,
@@ -25,6 +25,7 @@ from .messages import (
     Phase1b,
     Phase2a,
     Phase2b,
+    ProposeMissing,
     ProposeRequest,
     Send,
     SetTimer,
@@ -134,6 +135,12 @@ class Proposer:
     any other proposer (recovery) starts at its lowest owned round >= 1. On a
     nack it jumps past the promised round to its next owned round, after an
     exponential backoff with seeded jitter to break dueling-proposer ties.
+
+    A leader numbers its vertices densely, so a ProposeRequest for (L, s)
+    shows that every (L, s') with s' < s was assigned. When one of those has
+    not arrived a retransmit timeout after the gap opened, the proposer asks
+    leader L for it with ProposeMissing, again after doubling delays, until
+    it arrives.
     """
 
     def __init__(
@@ -160,6 +167,9 @@ class Proposer:
         self.retransmit_ms = retransmit_ms
         self.backoff_base_ms = backoff_base_ms
         self.instances: dict[VertexId, _Instance] = {}
+        self.proposed_gaps = DenseGaps()
+        self.leader_names: dict[int, str] = {}  # who sent each leader's requests
+        self.asking: dict[VertexId, int] = {}  # ProposeMissing sent per id
 
     def _designated(self, v: VertexId) -> int:
         return v.leader_index % self.num_main
@@ -209,7 +219,7 @@ class Proposer:
 
     def on_message(self, src: str, msg: Message, now: float) -> list[Effect]:
         if isinstance(msg, ProposeRequest):
-            return self.propose(msg.v, msg.proposal, now)
+            return self._on_propose_request(src, msg, now)
         if isinstance(msg, Phase1b):
             return self._on_phase1b(src, msg, now)
         if isinstance(msg, Phase2b):
@@ -217,6 +227,37 @@ class Proposer:
         if isinstance(msg, Nack):
             return self._on_nack(msg, now)
         return []
+
+    def _on_propose_request(self, src: str, msg: ProposeRequest, now: float) -> list[Effect]:
+        v = msg.v
+        self.leader_names[v.leader_index] = src
+        self.asking.pop(v, None)
+        gap_key = self.proposed_gaps.add(v)
+        out = self.propose(v, msg.proposal, now)
+        if gap_key is not None:
+            out.append(self._arm_propose_gap(v.leader_index, gap_key))
+        return out
+
+    def _arm_propose_gap(self, leader: int, key: int) -> SetTimer:
+        return SetTimer(self.retransmit_ms, ("propose-gap", leader, key))
+
+    def _on_propose_gap(self, leader: int, key: int) -> list[Effect]:
+        missing, rearm = self.proposed_gaps.fire(leader, key)
+        out: list[Effect] = []
+        for v in missing:
+            if v not in self.asking:
+                self.asking[v] = 0
+                out.extend(self._ask(v))
+        if rearm is not None:
+            out.append(self._arm_propose_gap(leader, rearm))
+        return out
+
+    def _ask(self, v: VertexId) -> list[Effect]:
+        attempt = self.asking[v] = self.asking[v] + 1
+        return [
+            Send(self.leader_names[v.leader_index], ProposeMissing(v)),
+            SetTimer(self.retransmit_ms * 2**attempt, ("propose-ask", v)),
+        ]
 
     def _on_phase1b(self, src: str, msg: Phase1b, now: float) -> list[Effect]:
         inst = self.instances.get(msg.v)
@@ -261,6 +302,10 @@ class Proposer:
 
     def on_timer(self, key: tuple, now: float) -> list[Effect]:
         kind, v = key[0], key[1]
+        if kind == "propose-gap":
+            return self._on_propose_gap(v, key[2])
+        if kind == "propose-ask":
+            return self._ask(v) if v in self.asking else []
         inst = self.instances.get(v)
         if inst is None or inst.phase == "done":
             return []

@@ -261,6 +261,46 @@ class WatermarkSet:
             self.sparse.add(pair)
 
 
+class DenseGaps:
+    """The vertex ids seen so far, and the holes below each leader's highest.
+
+    A leader numbers its vertices densely from 0, so seeing (L, s) proves
+    that every (L, s') with s' < s exists. A role arms at most one gap timer
+    per leader: add() and fire() return the key to arm it with, the highest
+    seq seen at that time, or None when the leader has no hole or already
+    has a timer armed. When the timer fires, only the holes below its key
+    are reported; the seqs above it may just be reordered in flight."""
+
+    def __init__(self) -> None:
+        self.seen = WatermarkSet(0)
+        self.highest: dict[int, int] = {}
+        self.armed: set[int] = set()
+
+    def add(self, v: VertexId) -> Optional[int]:
+        self.seen.add(v)
+        if v.seq > self.highest.get(v.leader_index, -1):
+            self.highest[v.leader_index] = v.seq
+        return self._arm(v.leader_index)
+
+    def fire(self, leader: int, key: int) -> tuple[list[VertexId], Optional[int]]:
+        """(the unseen ids of leader below key, the key to re-arm with)."""
+        self.armed.discard(leader)
+        seen = self.seen
+        missing = [
+            VertexId(leader, s)
+            for s in range(seen.low.get(leader, -1) + 1, key)
+            if (leader, s) not in seen.sparse
+        ]
+        return missing, self._arm(leader)
+
+    def _arm(self, leader: int) -> Optional[int]:
+        highest = self.highest.get(leader, -1)
+        if leader in self.armed or highest <= self.seen.low.get(leader, -1):
+            return None
+        self.armed.add(leader)
+        return highest
+
+
 class CommitGraph:
     """Map of committed vertices plus execution status.
 

@@ -181,7 +181,10 @@ class Simulation:
 
     # -- main loop ---------------------------------------------------------
 
-    def run(self) -> SimResult:
+    def run(self, settle_ms: float = 0.0) -> SimResult:
+        """Deliver events until every client is done, then for settle_ms
+        more of simulated time, so repairs that no client waits for can
+        finish. end_ms is the time the last client was done either way."""
         config = self.config
         heap, busy, history = self.heap, self.busy, self.history
         sent, received, crashes = self.sent, self.received, self.crashes
@@ -207,6 +210,7 @@ class Simulation:
         pending = {c.name: c for c in self.clients if not c.done}
         max_ms = config.max_sim_ms
         seq, now, panic = self.seq, self.now, None
+        end_ms = None  # when the last client was done
 
         while heap:
             t, _n, kind, node, a, b = heappop(heap)
@@ -276,8 +280,11 @@ class Simulation:
             now = done
             if node in pending and pending[node].done:
                 del pending[node]
-            if not pending:
-                break
+            if not pending and end_ms is None:
+                if settle_ms <= 0.0:
+                    break
+                end_ms = now
+                max_ms = min(max_ms, now + settle_ms)
         self.seq, self.now, self.panic = seq, now, panic
 
         return SimResult(
@@ -289,7 +296,7 @@ class Simulation:
             clients=self.clients,
             layout=self.layout,
             completed=all(c.done for c in self.clients),
-            end_ms=now,
+            end_ms=now if end_ms is None else end_ms,
             panic=panic,
             wire_trace=b"".join(self.wire_trace),
         )

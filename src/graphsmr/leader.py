@@ -16,6 +16,7 @@ from .messages import (
     Effect,
     Message,
     Note,
+    ProposeMissing,
     ProposeRequest,
     Send,
     SetTimer,
@@ -42,6 +43,12 @@ class Leader:
     the vertex sequence); the per-vertex retransmit timer widens to all 2f+1
     nodes if the quorum does not come back in time. Replies beyond the
     (f+1)-th are ignored, and the union of exactly f+1 replies is proposed.
+
+    The leader keeps every ProposeRequest it sent and answers a proposer's
+    ProposeMissing with the identical message. Its latest vertex has no
+    later one to reveal a lost copy, so while no newer vertex is assigned,
+    the vertex's retransmit timer resends that request after doubling
+    delays; the proposer re-announces the Commit of a vertex already chosen.
     """
 
     def __init__(
@@ -68,6 +75,8 @@ class Leader:
         self.dep_quorum = f + 1
         self.next_seq = 0
         self.pending: dict[VertexId, _Pending] = {}
+        self.proposed: dict[VertexId, ProposeRequest] = {}
+        self.tail_resends = 0  # of the latest vertex's request
         self.batch_buffer: list[Command] = []
 
     def on_message(self, src: str, msg: Message, now: float) -> list[Effect]:
@@ -77,6 +86,9 @@ class Leader:
             return self.assign_vertex_id(msg.cmd)
         if isinstance(msg, DepReply):
             return self.on_dep_reply(src, msg)
+        if isinstance(msg, ProposeMissing):
+            request = self.proposed.get(msg.v)
+            return [] if request is None else [Send(src, request)]
         return []
 
     def _buffer(self, cmd: Command) -> list[Effect]:
@@ -97,6 +109,7 @@ class Leader:
     def assign_vertex_id(self, cmd: Union[Command, Batch]) -> list[Effect]:
         v = VertexId(self.index, self.next_seq)
         self.next_seq += 1
+        self.tail_resends = 0
         targets = self._initial_targets(v)
         self.pending[v] = _Pending(cmd)
         out: list[Effect] = [Note(AssignEvent(self.name, v, cmd))]
@@ -124,8 +137,12 @@ class Leader:
         for d in pending.replies.values():
             deps = d if deps is None else deps.union(d)
         del self.pending[reply.v]
-        proposer = self.proposers[reply.v.leader_index % len(self.proposers)]
-        return [Send(proposer, ProposeRequest(reply.v, Proposal(pending.cmd, deps)))]
+        request = ProposeRequest(reply.v, Proposal(pending.cmd, deps))
+        self.proposed[reply.v] = request
+        return [Send(self._proposer_of(reply.v), request)]
+
+    def _proposer_of(self, v: VertexId) -> str:
+        return self.proposers[v.leader_index % len(self.proposers)]
 
     def on_timer(self, key: tuple, now: float) -> list[Effect]:
         if key[0] == "flush":
@@ -135,7 +152,7 @@ class Leader:
             v = key[1]
             pending = self.pending.get(v)
             if pending is None:
-                return []
+                return self._resend_tail(v)
             # widen to every node; with thrifty off this is a plain resend
             out: list[Effect] = [
                 Send(d, DepRequest(v, pending.cmd))
@@ -145,3 +162,13 @@ class Leader:
             out.append(SetTimer(self.retransmit_ms, ("dep-retx", v)))
             return out
         return []
+
+    def _resend_tail(self, v: VertexId) -> list[Effect]:
+        request = self.proposed.get(v)
+        if request is None or v.seq != self.next_seq - 1:
+            return []
+        self.tail_resends += 1
+        return [
+            Send(self._proposer_of(v), request),
+            SetTimer(self.retransmit_ms * 2**self.tail_resends, ("dep-retx", v)),
+        ]

@@ -85,6 +85,14 @@ class ClientResponse:
     output: Optional[bytes]
 
 
+@dataclass(frozen=True)
+class ProposeMissing:
+    """A proposer asks the leader of v to resend v's ProposeRequest, which
+    a later seq of that leader revealed as lost."""
+
+    v: VertexId
+
+
 Message = Union[
     ClientRequest,
     DepRequest,
@@ -97,6 +105,7 @@ Message = Union[
     Nack,
     Commit,
     ClientResponse,
+    ProposeMissing,
 ]
 
 

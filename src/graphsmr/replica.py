@@ -15,6 +15,7 @@ from .core import (
     Batch,
     Command,
     CommitGraph,
+    DenseGaps,
     Get,
     NOOP_PROPOSAL,
     Noop,
@@ -122,6 +123,7 @@ class Replica:
         self.recovery = recovery_proposer
         self.recovery_timeout_ms = recovery_timeout_ms
         self.recovery_attempts: dict[VertexId, int] = {}
+        self.commit_gaps = DenseGaps()
         self.exec_position = 0
 
     def on_message(self, src: str, msg: Message, now: float) -> list[Effect]:
@@ -134,6 +136,8 @@ class Replica:
     def on_timer(self, key: tuple, now: float) -> list[Effect]:
         if key[0] == "recover":
             return self.recovery_tick(key[1], now)
+        if key[0] == "commit-gap":
+            return self._on_commit_gap(key[1], key[2], now)
         if key[0] in ("paxos-retx", "paxos-backoff") and self.recovery is not None:
             return self.recovery.on_timer(key, now)
         return []
@@ -152,12 +156,32 @@ class Replica:
         for dep in self.graph.waiting[v]:
             if dep not in self.graph.committed and dep not in self.recovery_attempts:
                 out.append(self._arm_recovery(dep))
+        gap_key = self.commit_gaps.add(v)
+        if gap_key is not None:
+            out.append(self._arm_commit_gap(v.leader_index, gap_key))
         out.extend(self.execute_eligible())
         return out
 
     def _arm_recovery(self, v: VertexId) -> SetTimer:
         self.recovery_attempts.setdefault(v, 0)
         return SetTimer(self.recovery_timeout_ms, ("recover", v))
+
+    def _arm_commit_gap(self, leader: int, key: int) -> SetTimer:
+        return SetTimer(self.recovery_timeout_ms, ("commit-gap", leader, key))
+
+    def _on_commit_gap(self, leader: int, key: int, now: float) -> list[Effect]:
+        """A Commit below the leader's highest committed seq at arming time
+        is still missing after a recovery timeout, so it was probably lost:
+        recover it as a stuck dependency would be."""
+        missing, rearm = self.commit_gaps.fire(leader, key)
+        out: list[Effect] = []
+        for v in missing:
+            if v not in self.recovery_attempts:
+                self.recovery_attempts[v] = 0
+                out.extend(self.recovery_tick(v, now))
+        if rearm is not None:
+            out.append(self._arm_commit_gap(leader, rearm))
+        return out
 
     # -- execution ---------------------------------------------------------
 

@@ -57,6 +57,7 @@ from .messages import (
     Phase1b,
     Phase2a,
     Phase2b,
+    ProposeMissing,
     ProposeRequest,
 )
 
@@ -428,6 +429,7 @@ _message = _union(
     (Nack, _record(Nack, _vertex, _u32)),
     (Commit, _record(Commit, _vertex, _proposal)),
     (ClientResponse, _record(ClientResponse, _text, _u32, _flag, _optional(_blob))),
+    (ProposeMissing, _record(ProposeMissing, _vertex)),
 )
 _write_message, _read_message = _message.write, _message.read
 

@@ -257,6 +257,34 @@ def reference_execute_eligible(replica) -> list:
     return out
 
 
+def commit_holes(result, faults=(), settle_ms=0.0) -> list[tuple[str, VertexId]]:
+    """(replica, vertex) for each chosen vertex that a live replica never
+    committed, in a run that went on for settle_ms after its last reply
+    (Simulation.run(settle_ms)). A replica is live if no crash takes it
+    before the run's end. A leader's vertices above the highest seq of it
+    that a replica committed are exempt when that leader or its proposer
+    crashed: only the leader's later vertices or its tail resends, through
+    its proposer, reveal those."""
+    horizon = result.end_ms + settle_ms
+    crashed = {f.node for f in faults if isinstance(f, Crash) and f.at_ms <= horizon}
+    lay = result.layout
+    chosen = {ev.v for _, _, ev in result.history if isinstance(ev, ChosenEvent)}
+    holes = []
+    for name in lay.replicas:
+        if name in crashed:
+            continue
+        committed = result.roles[name].graph.committed
+        highest: dict[int, int] = {}
+        for v in committed:
+            highest[v.leader_index] = max(v.seq, highest.get(v.leader_index, -1))
+        for v in sorted(chosen - committed.keys(), key=VertexId.sort_key):
+            silenced = {lay.leaders[v.leader_index], lay.proposers[v.leader_index]} & crashed
+            if silenced and v.seq > highest.get(v.leader_index, -1):
+                continue
+            holes.append((name, v))
+    return holes
+
+
 def run_fingerprint(result) -> str:
     """sha256 over a run's history text, wire trace, sorted sent and
     received counts, end time, completion and panic: equal digests mean the

@@ -20,6 +20,8 @@ from graphsmr.messages import (
     Phase1b,
     Phase2a,
     Phase2b,
+    ProposeMissing,
+    ProposeRequest,
     Send,
     SetTimer,
 )
@@ -197,6 +199,61 @@ class TestProposer:
         out = p.on_message("a1", acceptors[1].handle_phase2a(V, 2, P2), 8.0)
         commits = [e.msg for e in sends(out) if isinstance(e.msg, Commit)]
         assert commits and all(c.proposal == P2 for c in commits)
+
+
+class TestProposeGapRepair:
+    """The designated proposer asks its leader for each seq that a later
+    ProposeRequest revealed and that has not arrived within a timeout."""
+
+    @staticmethod
+    def request(p, leader, seq):
+        v = VertexId(leader, seq)
+        return p.on_message(f"leader-{leader}", ProposeRequest(v, P1), 0.0)
+
+    @staticmethod
+    def gap_timers(effects):
+        return [e.key for e in effects if isinstance(e, SetTimer) and e.key[0] == "propose-gap"]
+
+    def test_one_gap_timer_per_leader(self):
+        p = make_proposer(index=0, total=4, main=2)
+        armed = [key for leader, seq in ((0, 2), (0, 4), (0, 3), (2, 1), (2, 3))
+                 for key in self.gap_timers(self.request(p, leader, seq))]
+        assert armed == [("propose-gap", 0, 2), ("propose-gap", 2, 1)]
+        assert self.gap_timers(self.request(p, 0, 0)) == []  # in order: no gap
+
+    def test_only_seqs_below_the_key_are_asked_for(self):
+        p = make_proposer(index=0)
+        self.request(p, 0, 2)
+        self.request(p, 0, 5)
+        out = p.on_timer(("propose-gap", 0, 2), 50.0)
+        asked = [(e.dst, e.msg) for e in sends(out)]
+        assert asked == [("leader-0", ProposeMissing(VertexId(0, 0))),
+                         ("leader-0", ProposeMissing(VertexId(0, 1)))]
+        assert self.gap_timers(out) == [("propose-gap", 0, 5)]
+        # (0, 0) and (0, 1) are asked for already; (0, 3) and (0, 4) now are
+        out = p.on_timer(("propose-gap", 0, 5), 100.0)
+        assert [e.msg.v.seq for e in sends(out)] == [3, 4]
+
+    def test_asks_again_with_doubling_delays_until_it_arrives(self):
+        p = make_proposer(index=0)
+        self.request(p, 0, 1)
+        v = VertexId(0, 0)
+        delays = []
+        out = p.on_timer(("propose-gap", 0, 1), 50.0)
+        for now in (150.0, 350.0):
+            (timer,) = [e for e in out if isinstance(e, SetTimer) and e.key == ("propose-ask", v)]
+            delays.append(timer.delay_ms)
+            out = p.on_timer(timer.key, now)
+            assert [e.msg for e in sends(out)] == [ProposeMissing(v)]
+        assert delays == [100.0, 200.0]
+        assert sends(self.request(p, 0, 0))  # proposed on arrival
+        assert p.on_timer(("propose-ask", v), 750.0) == []
+
+    def test_gap_closed_in_time_sends_nothing(self):
+        p = make_proposer(index=0)
+        self.request(p, 0, 1)
+        self.request(p, 0, 0)
+        assert p.on_timer(("propose-gap", 0, 1), 50.0) == []
 
 
 # --- exhaustive cross-check against an abstract consensus model ----------

@@ -5,8 +5,8 @@ length of one run, and compares a 200-command run with a 3200-command run
 of the same all-conflict workload. With exact deps, the wire trace's
 packing, the replica's probes of its executed state and the checker's
 probes are guarded the same way, at 200 and 800 commands, since the trace
-is about 370 MB at 3200. A last guard bounds the replica's executed-id
-state after a long conflict-free run."""
+is about 370 MB at 3200. The last guards bound the replica's executed-id
+state after a long conflict-free run and after a lossy one."""
 
 import dataclasses
 import random
@@ -19,7 +19,8 @@ from graphsmr import wire
 from graphsmr.bench import BenchConfig, generate_workload, sim_config_for
 from graphsmr.core import CommitGraph, CompactDeps, ExactDeps, Noop
 from graphsmr.depservice import DepServiceNode
-from graphsmr.harness import check_history, history, run_simulation
+from graphsmr.harness import Crash, LinkFault, check_history, history, run_simulation
+from graphsmr.harness.sim import Simulation
 from graphsmr.replica import CommitSeen, Replica
 
 SIZES = (200, 3200)
@@ -240,3 +241,26 @@ def test_executed_state_is_bounded_by_the_gap():
         assert len(executed.low) <= config.leaders and not executed.sparse
         assert len(executed) == 64 * 50
         assert len(table.low) == 64 and not table.sparse
+
+
+def test_executed_state_is_bounded_after_loss():
+    """The benchmark's faults scenario (perfbench/workloads.py, seed 7,
+    scenario 0): 5 % drop and duplication on every link and leader-1 crashed
+    at 500 ms. Every lost Commit is repaired, so no hole stops a replica's
+    executed watermark for long: at the last reply only vertices still in
+    flight hold it back, and once the run settles nothing stays sparse."""
+    config = BenchConfig(
+        clients=8, commands_per_client=150, conflict_rate=0.5,
+        min_delay_ms=1.0, max_delay_ms=3.0, seed=7,
+    )
+    workload = generate_workload(config, random.Random(f"{config.seed}/workload"))
+    faults = [LinkFault("*", "*", drop=0.05, dup=0.05), Crash("leader-1", 500.0)]
+    for settle_ms, most in ((0.0, config.clients), (2000.0, 0)):
+        sim = Simulation(sim_config_for(config), workload, faults)
+        result = sim.run(settle_ms=settle_ms)
+        assert result.completed
+        replicas = [r for r in result.roles.values() if isinstance(r, Replica)]
+        assert len(replicas) == config.replicas
+        for rep in replicas:
+            assert len(rep.graph.executed) > 1200
+            assert len(rep.graph.executed.sparse) <= most

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fuzz_helpers import (
-    conflicts, fuzz_config, mutation_config, ordered_unlinked_pairs,
+    commit_holes, conflicts, fuzz_config, mutation_config, ordered_unlinked_pairs,
     pairwise_conflict_violations, random_workload, run_fingerprint,
 )
 from graphsmr.core import (
@@ -76,12 +76,12 @@ def pinned_runs():
 
 # run_fingerprint digests of pinned_runs()
 PINNED_FINGERPRINTS = {
-    "lossy-leader-crash": "a795d349da013a7b72ea1240c608dafd5db01581d94d6c33fde0fb38007e775c",
+    "lossy-leader-crash": "e2bf38dce67745a15dea674ccab3529f14e27b3bb9dff3dd771aa11d5680de38",
     "compact-batch4-thrifty": "3ca31877cbb8305b114268cf06ce3b82b9d97988cd14f568fa2139e2e6651029",
-    "healing-partition": "88f1d1435ae49d458ef767ebe7ab700abbff5ac918d444530eadabae871147e5",
+    "healing-partition": "90ae29dddafadd8e54b5755e9466c9508b081f37a85f6c48069c235e4a864a4c",
     "dead-link": "0f7f8af245629811f5c38f0d4a748ae307c2cc4dff42c6a19fa0add5c6720806",
     "coupled": "e1f04ae6d42c2edced48309b7ede9d8682aa7e4fcfe2ce0fc7ac985616d9ad62",
-    "wire-trace": "514d8bd5aed3d874a3c8496c968be28f21e7e8c2bd5fa607dc6a4871d6cfd451",
+    "wire-trace": "4490b9e1e81b9132c6c11bf3ecb2cfe692dc66482cdf2205ce157a595430bbf3",
 }
 
 
@@ -622,13 +622,14 @@ def test_checker_agrees_with_pairwise_oracle(records):
 
 
 # run_fingerprint digests of mutation_config(name, 0, ALL_MUTATIONS[name]).
-# Two of the runs retry a client command, so they changed when clients began
-# to send each attempt to the leader with the fewest misses.
+# Two of the runs lose messages, so they changed when lost Commits and
+# proposals began to be repaired; in dep-quorum-one, which loses none, a
+# leader idles for 50 ms and resends its latest proposal.
 MUTATION_FINGERPRINTS = {
-    "dep-quorum-one": "cf99b5acd664413cc86120564f9255b5186e9cfa2a81bafcad1b148950995141",
-    "acceptor-ignores-promises": "93dba7005f63718b6528556d4f9277c3f4ee48c69260377973c336ab2bd7daf1",
+    "dep-quorum-one": "eac567248866006211217957ade6a8eb2b356125ff40dabb089f89e45eb3382d",
+    "acceptor-ignores-promises": "ba581b59eac9b3b713c95c6ebdf4ff5b83192d76d03f9d49e37abab1891e3f99",
     "replica-skip-scc": "3c53905391c4539e606e2feaed60ad2bd7d24284c24fba7f11e2507e7ecfb272",
-    "client-table-largest-only": "81a17e80cf071337b8ec5bc60bcc6642175d180af81c62b332aa666133096ffb",
+    "client-table-largest-only": "3c73b6d897473986fbe61fa66237ae04dfcbb7a511f64755fb2d9bc7da28916c",
 }
 
 
@@ -673,6 +674,46 @@ class TestFuzzSmoke:
             res = run_simulation(config, workload, faults)
             verdict = check_history(res.history)
             assert verdict.ok, f"seed {seed}:\n{verdict}"
+
+
+class TestCompleteness:
+    """Lost Commits and lost ProposeRequests are repaired without a client
+    retry, so once a run settles every live replica holds every chosen
+    vertex."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_lossy_commuting_writes_reach_every_replica(self, seed):
+        workload = [[Set(f"c{c}k{i:03d}".encode(), b"v") for i in range(100)]
+                    for c in range(4)]
+        config = SimConfig(seed=seed, drop_prob=0.05, min_delay_ms=1.0, max_delay_ms=3.0)
+        res = Simulation(config, workload).run(settle_ms=2000.0)
+        assert res.completed
+        assert check_history(res.history).ok
+        assert commit_holes(res, settle_ms=2000.0) == []
+        kvs = [res.roles[name].kv for name in res.layout.replicas]
+        assert [len(kv) for kv in kvs] == [400, 400]
+        assert kvs[0] == kvs[1]
+
+    def test_fuzz_runs_leave_no_commit_holes(self):
+        completed = 0
+        for seed in range(200):
+            f = 1 if seed % 2 == 0 else 2
+            rate = [0.0, 0.02, 0.1, 1.0][seed % 4]
+            config, workload, faults = fuzz_config(seed, f, rate)
+            res = Simulation(config, workload, faults).run(settle_ms=2000.0)
+            assert check_history(res.history).ok, f"seed {seed}"
+            if res.completed:
+                completed += 1
+                assert commit_holes(res, faults, 2000.0) == [], f"seed {seed}"
+        assert completed >= 180
+
+    def test_settling_keeps_end_ms_at_the_last_reply(self):
+        config, workload, faults = pinned_runs()["lossy-leader-crash"]
+        plain = run_simulation(config, workload, faults)
+        settled = Simulation(config, workload, faults).run(settle_ms=500.0)
+        assert settled.end_ms == plain.end_ms
+        assert settled.history[: len(plain.history)] == plain.history
+        assert sum(settled.received.values()) > sum(plain.received.values())
 
 
 class TestCompactDeps:

@@ -14,6 +14,7 @@ from graphsmr.messages import (
     DepReply,
     DepRequest,
     Note,
+    ProposeMissing,
     ProposeRequest,
     Send,
     SetTimer,
@@ -172,3 +173,60 @@ def test_stale_flush_timer_leaves_next_batch_alone():
     assert leader.batch_buffer == [cmd(3)]
     effects = leader.on_timer(second_timer.key, 7.0)
     assert sends(effects, DepRequest)[0].msg.cmd == Batch((cmd(3),))
+
+
+def propose_next(leader, i, now=0.0):
+    """Assign a vertex for command i and answer it from a dependency quorum;
+    returns the vertex and the ProposeRequest the leader sent."""
+    effects = leader.on_message("c", ClientRequest(cmd(i)), now)
+    (note,) = [e for e in effects if isinstance(e, Note)]
+    v = note.event.v
+    leader.on_message("dep-0", DepReply(v, cmd(i), ExactDeps(frozenset())), now + 1)
+    (request,) = sends(
+        leader.on_message("dep-1", DepReply(v, cmd(i), ExactDeps(frozenset())), now + 2),
+        ProposeRequest,
+    )
+    return v, request.msg
+
+
+class TestProposeRepair:
+    def test_propose_missing_gets_the_identical_request(self):
+        leader = make_leader()
+        v0, first = propose_next(leader, 1)
+        propose_next(leader, 2)
+        (answer,) = leader.on_message("prop-0", ProposeMissing(v0), 10.0)
+        assert answer.dst == "prop-0" and answer.msg is first
+
+    def test_propose_missing_for_an_id_never_proposed_is_ignored(self):
+        leader = make_leader()
+        propose_next(leader, 1)
+        leader.on_message("c", ClientRequest(cmd(2)), 5.0)  # (0, 1) still gathers deps
+        assert leader.on_message("prop-0", ProposeMissing(VertexId(0, 1)), 6.0) == []
+        assert leader.on_message("prop-0", ProposeMissing(VertexId(0, 7)), 6.0) == []
+
+    def test_tail_resend_doubles_until_a_newer_vertex_is_assigned(self):
+        leader = make_leader()
+        v0, request = propose_next(leader, 1)
+        delays = []
+        for now in (50.0, 150.0, 350.0):
+            effects = leader.on_timer(("dep-retx", v0), now)
+            (resend,) = sends(effects)
+            assert resend.dst == "prop-0" and resend.msg is request
+            (timer,) = [e for e in effects if isinstance(e, SetTimer)]
+            assert timer.key == ("dep-retx", v0)
+            delays.append(timer.delay_ms)
+        assert delays == [100.0, 200.0, 400.0]
+        leader.on_message("c", ClientRequest(cmd(2)), 400.0)
+        assert leader.on_timer(("dep-retx", v0), 750.0) == []
+
+    def test_tail_resend_only_for_the_latest_proposed_vertex(self):
+        leader = make_leader()
+        v0, _ = propose_next(leader, 1)
+        v1, request = propose_next(leader, 2, now=10.0)
+        assert leader.on_timer(("dep-retx", v0), 50.0) == []
+        assert sends(leader.on_timer(("dep-retx", v1), 60.0))[0].msg is request
+        # the latest vertex still gathering deps widens its request instead
+        leader.on_message("c", ClientRequest(cmd(3)), 70.0)
+        effects = leader.on_timer(("dep-retx", VertexId(0, 2)), 120.0)
+        assert sends(effects, ProposeRequest) == [] and len(sends(effects, DepRequest)) == 3
+

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fuzz_helpers import conflicts, reference_execute_eligible
+from graphsmr.consensus import Proposer
 from graphsmr.core import (
     Batch,
     Command,
@@ -18,7 +19,7 @@ from graphsmr.core import (
     VertexId,
 )
 from graphsmr.harness.mutations import Mutations
-from graphsmr.messages import ClientResponse, Send
+from graphsmr.messages import ClientResponse, Phase1a, Send, SetTimer
 from graphsmr.replica import (
     ClientTable,
     ExecEvent,
@@ -301,6 +302,59 @@ class TestRecoveryTimers:
         p1as = [e.msg for e in out if isinstance(e, Send) and isinstance(e.msg, Phase1a)]
         assert len(p1as) == 3
         assert p1as[0].round >= 1
+
+
+class TestCommitGapRepair:
+    """A replica recovers each seq that a later commit of the same leader
+    revealed and that is still uncommitted a recovery timeout later."""
+
+    @staticmethod
+    def make():
+        rec = Proposer(
+            "rep-0", index=2, num_main_proposers=2, num_total_proposers=3,
+            f=1, acceptors=["acc-0", "acc-1", "acc-2"], replicas=["rep-0"],
+            rng=random.Random(5),
+        )
+        return make_replica(recovery_proposer=rec)
+
+    @staticmethod
+    def commit(rep, leader, seq):
+        p = Proposal(Command("c", 10 * leader + seq, Set(b"k%d" % seq, b"v")), EMPTY_DEPS)
+        return rep.commit(VertexId(leader, seq), p, 0.0)
+
+    @staticmethod
+    def gap_timers(effects):
+        return [e.key for e in effects if isinstance(e, SetTimer) and e.key[0] == "commit-gap"]
+
+    @staticmethod
+    def recovered(effects):
+        return sorted({e.msg.v for e in effects
+                       if isinstance(e, Send) and isinstance(e.msg, Phase1a)})
+
+    def test_one_gap_timer_per_leader(self):
+        rep = self.make()
+        armed = [key for leader, seq in ((0, 2), (0, 4), (1, 1), (0, 3), (1, 3))
+                 for key in self.gap_timers(self.commit(rep, leader, seq))]
+        assert armed == [("commit-gap", 0, 2), ("commit-gap", 1, 1)]
+
+    def test_only_seqs_below_the_key_are_recovered(self):
+        rep = self.make()
+        self.commit(rep, 0, 2)
+        self.commit(rep, 0, 5)
+        out = rep.on_timer(("commit-gap", 0, 2), 100.0)
+        assert self.recovered(out) == [VertexId(0, 0), VertexId(0, 1)]
+        assert self.gap_timers(out) == [("commit-gap", 0, 5)]
+        # (0, 0) and (0, 1) are recovering already; (0, 3) and (0, 4) now are
+        out = rep.on_timer(("commit-gap", 0, 5), 200.0)
+        assert self.recovered(out) == [VertexId(0, 3), VertexId(0, 4)]
+        assert self.gap_timers(out) == [("commit-gap", 0, 5)]
+
+    def test_gap_closed_in_time_recovers_nothing(self):
+        rep = self.make()
+        self.commit(rep, 0, 1)
+        self.commit(rep, 0, 0)
+        assert rep.on_timer(("commit-gap", 0, 1), 100.0) == []
+        assert rep.recovery_attempts == {}
 
 
 # --- property: commit order never changes outcomes -----------------------

@@ -3,6 +3,7 @@ import random
 import struct
 import sys
 import threading
+import typing
 import weakref
 
 import pytest
@@ -26,11 +27,13 @@ from graphsmr.messages import (
     Commit,
     DepReply,
     DepRequest,
+    Message,
     Nack,
     Phase1a,
     Phase1b,
     Phase2a,
     Phase2b,
+    ProposeMissing,
     ProposeRequest,
 )
 from graphsmr.wire import (
@@ -93,6 +96,7 @@ messages = st.one_of(
         st.booleans(),
         st.one_of(st.none(), st.binary(max_size=8)),
     ),
+    st.builds(ProposeMissing, vertex_ids),
 )
 
 
@@ -263,6 +267,11 @@ GOLDEN_MESSAGES = [
         "0b" "00000001" "63" "00000007" "01" "01" "00000001" "76",
         id="client-response-output",
     ),
+    pytest.param(
+        ProposeMissing(VertexId(1, 7)),
+        "0c" "00000001" "00000007",  # ProposeMissing tag, vertex (1, 7)
+        id="propose-missing",
+    ),
 ]
 
 
@@ -270,6 +279,18 @@ GOLDEN_MESSAGES = [
 def test_golden_bytes(msg, golden):
     assert encode_message(msg) == bytes.fromhex(golden)
     assert decode_message(bytes.fromhex(golden)) == msg
+
+
+def test_golden_bytes_cover_every_message_type():
+    """A new message type needs golden bytes too, and an existing type's
+    tag must not move, so each golden message opens with its type's place
+    in the Message union, counted from 1."""
+    members = typing.get_args(Message)
+    goldens = [(p.values[0], bytes.fromhex(p.values[1])) for p in GOLDEN_MESSAGES]
+    goldens.append((_golden_commit(GOLDEN_DEPS), GOLDEN_COMMIT))
+    assert {type(msg) for msg, _ in goldens} == set(members)
+    for msg, golden in goldens:
+        assert golden[0] == members.index(type(msg)) + 1
 
 
 @pytest.mark.parametrize("bad", [
