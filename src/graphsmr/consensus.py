@@ -256,7 +256,7 @@ class Proposer:
         attempt = self.asking[v] = self.asking[v] + 1
         return [
             Send(self.leader_names[v.leader_index], ProposeMissing(v)),
-            SetTimer(self.retransmit_ms * 2**attempt, ("propose-ask", v)),
+            SetTimer(self.retransmit_ms * 2 ** attempt, ("propose-ask", v)),
         ]
 
     def _on_phase1b(self, src: str, msg: Phase1b, now: float) -> list[Effect]:
@@ -301,9 +301,9 @@ class Proposer:
         return [SetTimer(delay, ("paxos-backoff", msg.v))]
 
     def on_timer(self, key: tuple, now: float) -> list[Effect]:
+        if key[0] == "propose-gap":
+            return self._on_propose_gap(key[1], key[2])
         kind, v = key[0], key[1]
-        if kind == "propose-gap":
-            return self._on_propose_gap(v, key[2])
         if kind == "propose-ask":
             return self._ask(v) if v in self.asking else []
         inst = self.instances.get(v)

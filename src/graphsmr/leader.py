@@ -170,5 +170,5 @@ class Leader:
         self.tail_resends += 1
         return [
             Send(self._proposer_of(v), request),
-            SetTimer(self.retransmit_ms * 2**self.tail_resends, ("dep-retx", v)),
+            SetTimer(self.retransmit_ms * 2 ** self.tail_resends, ("dep-retx", v)),
         ]

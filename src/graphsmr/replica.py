@@ -1,7 +1,8 @@
 """Replica: maintains the graph of committed vertices, executes eligible
 strongly connected components in reverse topological order, deduplicates
-client commands, answers the clients it owns, and fills stuck dependencies
-with recovery noops via an embedded consensus proposer.
+client commands, answers the clients it owns, and recovers stuck dependencies
+and lost Commits (holes below a leader's highest committed seq) via an
+embedded consensus proposer, which learns the chosen value or fills a noop.
 """
 
 from __future__ import annotations
