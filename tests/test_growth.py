@@ -256,8 +256,7 @@ def test_executed_state_is_bounded_after_loss():
     workload = generate_workload(config, random.Random(f"{config.seed}/workload"))
     faults = [LinkFault("*", "*", drop=0.05, dup=0.05), Crash("leader-1", 500.0)]
     for settle_ms, most in ((0.0, config.clients), (2000.0, 0)):
-        sim = Simulation(sim_config_for(config), workload, faults)
-        result = sim.run(settle_ms=settle_ms)
+        result = Simulation(sim_config_for(config), workload, faults).run(settle_ms=settle_ms)
         assert result.completed
         replicas = [r for r in result.roles.values() if isinstance(r, Replica)]
         assert len(replicas) == config.replicas
