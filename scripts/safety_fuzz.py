@@ -23,17 +23,9 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "tests"))
 
-from fuzz_helpers import commit_holes, fuzz_config, long_fuzz_config
+from fuzz_helpers import SETTLE_MS, commit_holes, long_fuzz_config, short_scenario
 from graphsmr.harness import check_history
 from graphsmr.harness.sim import Simulation
-
-CONFLICT_RATES = (0.0, 0.02, 0.1, 1.0)
-SETTLE_MS = 2000.0
-
-
-def short_scenario(seed: int):
-    f = 1 if seed % 2 == 0 else 2
-    return fuzz_config(seed, f, CONFLICT_RATES[seed % len(CONFLICT_RATES)])
 
 
 def main():

@@ -14,7 +14,7 @@ from math import ceil
 from .core import Get, Op, Set
 from .harness.cluster import check_delays
 from .harness.history import check_history
-from .harness.sim import SimConfig, SimResult, Timeouts, role_loads, run_simulation
+from .harness.sim import SimConfig, Simulation, Timeouts, role_loads
 from .sockets import SocketCluster
 
 HOT_KEY = b"hotkey!!"  # eight bytes, like every key and value
@@ -47,6 +47,10 @@ class BenchConfig:
             raise ValueError("conflict_rate must lie in [0, 1]")
         if self.clients < 1:
             raise ValueError("need at least one client")
+        if self.commands_per_client < 1:
+            raise ValueError("commands_per_client must be >= 1")
+        if not self.duration_ms > 0:
+            raise ValueError(f"the run's time cap must be positive, got {self.duration_ms:g} ms")
         if self.batch_size < 1:
             raise ValueError("batch_size must be >= 1")
         if self.transport not in ("sim", "socket"):
@@ -159,17 +163,15 @@ def run_bench(config: BenchConfig) -> BenchReport:
     """Run the configured workload on either transport, check its history,
     then summarise the run. Raises AssertionError on a safety violation and
     IncompleteRun if a command went unanswered. Socket runs report wall-clock
-    numbers and no role loads."""
+    times; both transports count the messages behind the role loads."""
     config.validate()
     workload = generate_workload(config, random.Random(f"{config.seed}/workload"))
-    if config.transport == "socket":
-        run = SocketCluster(sim_config_for(config), workload).run(config.duration_ms)
-    else:
-        run = run_simulation(sim_config_for(config), workload)
+    runner = SocketCluster if config.transport == "socket" else Simulation
+    run = runner(sim_config_for(config), workload).run()
     verdict = check_history(run.history)
     if not verdict.ok:
         raise AssertionError(f"bench run violated safety:\n{verdict}")
-    latencies = sorted(done - sent for c in run.clients for sent, done in c.reply_times)
+    latencies = sorted(run.latencies_ms())
     commands = len(latencies)
     total = config.clients * config.commands_per_client
     if commands < total:
@@ -180,7 +182,7 @@ def run_bench(config: BenchConfig) -> BenchReport:
         throughput=commands / (elapsed_ms / 1000.0),
         p50_ms=percentile(latencies, 0.50),
         p99_ms=percentile(latencies, 0.99),
-        role_loads=role_loads(run) if isinstance(run, SimResult) and latencies else {},
+        role_loads=role_loads(run),
         config=config,
         commands=commands,
     )

@@ -220,9 +220,8 @@ def cmd_bench(args) -> int:
     unit = "wall" if config.transport == "socket" else "simulated"
     print(f"# throughput is commands per {unit} second; "
           f"simulated numbers validate trends, not hardware")
-    if report.role_loads:
-        loads = ", ".join(f"{k}={v}" for k, v in sorted(report.role_loads.items()))
-        print(f"# per-role messages per command: {loads}")
+    loads = ", ".join(f"{k}={v}" for k, v in sorted(report.role_loads.items()))
+    print(f"# per-role messages per command: {loads}")
     if args.model:
         m = bottleneck_model(config.leaders, 2 * config.f + 1, config.replicas)
         print(f"# model: multileader {m.multileader} vs single-leader "

@@ -31,6 +31,10 @@ from .messages import (
     SetTimer,
 )
 
+# a preempted proposer waits BACKOFF_BASE_MS * 2**attempts plus up to as
+# much again at random, so duelling proposers drift apart
+BACKOFF_BASE_MS = 10.0
+
 
 def round_owner(number: int, designated: int, num_proposers: int) -> int:
     return (designated + number) % num_proposers
@@ -154,7 +158,6 @@ class Proposer:
         replicas: list[str],
         rng: Optional[random.Random] = None,
         retransmit_ms: float = 50.0,
-        backoff_base_ms: float = 10.0,
     ) -> None:
         self.name = name
         self.index = index
@@ -165,7 +168,6 @@ class Proposer:
         self.replicas = replicas
         self.rng = rng or random.Random(0)
         self.retransmit_ms = retransmit_ms
-        self.backoff_base_ms = backoff_base_ms
         self.instances: dict[VertexId, _Instance] = {}
         self.proposed_gaps = DenseGaps()
         self.leader_names: dict[int, str] = {}  # who sent each leader's requests
@@ -296,7 +298,7 @@ class Proposer:
         inst.round = self._lowest_owned(msg.v, msg.promised + 1)
         inst.phase = "backoff"
         inst.attempts += 1
-        delay = self.backoff_base_ms * (2 ** min(inst.attempts, 10))
+        delay = BACKOFF_BASE_MS * (2 ** min(inst.attempts, 10))
         delay += self.rng.uniform(0, delay)
         return [SetTimer(delay, ("paxos-backoff", msg.v))]
 

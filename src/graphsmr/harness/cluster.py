@@ -154,6 +154,8 @@ def check_delays(min_delay_ms: float, max_delay_ms: float, service_cost_ms: floa
 def build_cluster(config, workload: list[list[Op]]):
     """Returns (roles, machine_of, clients, layout) for a SimConfig."""
     f = config.f
+    if f < 0:
+        raise ConfigError(f"f must be >= 0, got {f}")
     if config.leaders < f + 1:
         raise ConfigError(f"need at least f+1={f + 1} leaders, got {config.leaders}")
     if config.replicas < f + 1:
@@ -176,7 +178,6 @@ def build_cluster(config, workload: list[list[Op]]):
             dep_nodes=lay.dep_nodes,
             proposers=lay.proposers,
             batch_size=config.batch_size,
-            flush_ms=t.batch_flush_ms,
             retransmit_ms=t.leader_retransmit_ms,
             thrifty=config.thrifty,
         )
@@ -196,7 +197,6 @@ def build_cluster(config, workload: list[list[Op]]):
             replicas=lay.replicas,
             rng=random.Random(rng_seed),
             retransmit_ms=t.proposer_retransmit_ms,
-            backoff_base_ms=t.backoff_base_ms,
         )
 
     for i, name in enumerate(lay.proposers):

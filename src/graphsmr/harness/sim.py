@@ -34,8 +34,6 @@ class Timeouts:
     leader_retransmit_ms: float = 50.0
     proposer_retransmit_ms: float = 50.0
     recovery_timeout_ms: float = 100.0
-    batch_flush_ms: float = 5.0
-    backoff_base_ms: float = 10.0
 
 
 @dataclass

@@ -22,6 +22,10 @@ from .messages import (
     SetTimer,
 )
 
+# a partial batch waits this long for more commands: a few 1 ms network
+# delays, and short next to the client's 200 ms retry
+FLUSH_MS = 5.0
+
 
 @dataclass
 class AssignEvent:
@@ -59,7 +63,6 @@ class Leader:
         dep_nodes: list[str],
         proposers: list[str],
         batch_size: int = 1,
-        flush_ms: float = 5.0,
         retransmit_ms: float = 50.0,
         thrifty: bool = False,
     ) -> None:
@@ -69,7 +72,6 @@ class Leader:
         self.dep_nodes = dep_nodes
         self.proposers = proposers
         self.batch_size = batch_size
-        self.flush_ms = flush_ms
         self.retransmit_ms = retransmit_ms
         self.thrifty = thrifty
         self.dep_quorum = f + 1
@@ -96,7 +98,7 @@ class Leader:
         if len(self.batch_buffer) >= self.batch_size:
             return self._flush()
         if len(self.batch_buffer) == 1:
-            return [SetTimer(self.flush_ms, ("flush", self.next_seq))]
+            return [SetTimer(FLUSH_MS, ("flush", self.next_seq))]
         return []
 
     def _flush(self) -> list[Effect]:

@@ -297,7 +297,7 @@ class Report:
         return "\n".join(lines)
 
 
-def explore(cfg: ModelConfig, stop_at_first_violation: bool = True) -> Report:
+def explore(cfg: ModelConfig) -> Report:
     """BFS over the reachable abstract state space, checking every invariant
     on every state and the fairness corollary on terminal states."""
     init = initial_state(cfg)
@@ -327,7 +327,9 @@ def explore(cfg: ModelConfig, stop_at_first_violation: bool = True) -> Report:
         if len(parents) > cfg.max_states:
             complete = False
             break
-        if violations and stop_at_first_violation:
+        # the level that found a violation holds its shortest traces; deeper
+        # levels would only add longer ones
+        if violations:
             break
         next_frontier = []
         for state in frontier:

@@ -246,32 +246,17 @@ class Replica:
         if isinstance(cmd, Noop):
             return [Note(ExecEvent(self.name, v, None, None, None, False, None, position))]
 
-        out: list[Effect] = []
-        if self.table.contains(cmd.client_id, cmd.client_seq):
+        applied = not self.table.contains(cmd.client_id, cmd.client_seq)
+        if applied:
+            available, output = True, self.apply_command(cmd)
+            self.table.record(cmd.client_id, cmd.client_seq, output)
+        else:
             available, output = self.table.cached(cmd.client_id, cmd.client_seq)
-            out.append(
-                Note(
-                    ExecEvent(
-                        self.name, v, cmd.client_id, cmd.client_seq, cmd.op,
-                        False, output if available else None, position,
-                    )
-                )
-            )
-            out.extend(self._respond(v, cmd, available, output, owns))
-            return out
-
-        output = self.apply_command(cmd)
-        self.table.record(cmd.client_id, cmd.client_seq, output)
-        out.append(
-            Note(
-                ExecEvent(
-                    self.name, v, cmd.client_id, cmd.client_seq, cmd.op,
-                    True, output, position,
-                )
-            )
+        event = ExecEvent(
+            self.name, v, cmd.client_id, cmd.client_seq, cmd.op,
+            applied, output if available else None, position,
         )
-        out.extend(self._respond(v, cmd, True, output, owns))
-        return out
+        return [Note(event), *self._respond(v, cmd, available, output, owns)]
 
     def apply_command(self, cmd: Command) -> Optional[bytes]:
         if isinstance(cmd.op, Get):

@@ -19,12 +19,14 @@ import heapq
 import selectors
 import socket
 import time
-from dataclasses import dataclass
 from functools import partial
+from typing import Optional
 
 from .harness.cluster import build_cluster
 from .harness.history import Record
+from .harness.sim import SimResult
 from .messages import Note, Send, SetTimer
+from .replica import ReplicaPanic
 from .wire import decode_frame, encode_frame, split_frames
 
 
@@ -40,18 +42,11 @@ class _Conn:
         self.unsent = bytearray()
 
 
-@dataclass
-class SocketRunResult:
-    history: list[Record]
-    completed: bool
-    end_ms: float  # wall-clock ms from building the cluster until the last reply, or until time is up
-    clients: list
-
-
 class SocketCluster:
     """Stands up every role (and client) as a TCP endpoint of one loop."""
 
     def __init__(self, sim_config, workload) -> None:
+        self.config = sim_config
         self.roles, _machines, self.clients, self.layout = build_cluster(
             sim_config, workload
         )
@@ -60,10 +55,17 @@ class SocketCluster:
     def now_ms(self) -> float:
         return (time.monotonic() - self._t0) * 1000.0
 
-    def run(self, wall_limit_ms: float = 30_000.0) -> SocketRunResult:
+    def run(self) -> SimResult:
+        """Simulation.run's contract on the wall clock from building the
+        cluster: max_sim_ms caps the run, a replica panic ends it with its
+        evidence in the history, and end_ms is when the last client was done."""
         roles = self.roles
-        deadline = self.now_ms() + wall_limit_ms
+        deadline = self.config.max_sim_ms
         history: list[Record] = []
+        sent: dict[str, int] = {}
+        received: dict[str, int] = {}
+        panic: Optional[str] = None
+        end_ms: Optional[float] = None
         # (deadline_ms, insertion seq, node, key)
         timers = [(0.0, n, c.name, ("start",)) for n, c in enumerate(self.clients)]
         seq = len(timers)
@@ -75,9 +77,10 @@ class SocketCluster:
         sel = selectors.DefaultSelector()
 
         def apply(node: str, effects, now: float) -> None:
-            nonlocal seq
+            nonlocal seq, end_ms
             for eff in effects:
                 if isinstance(eff, Send):
+                    sent[node] = sent.get(node, 0) + 1
                     link = (node, eff.dst)
                     conn = outbound.get(link)
                     if conn is None:
@@ -95,6 +98,8 @@ class SocketCluster:
                     history.append((now, len(history), eff.event))
             if node in waiting and roles[node].done:
                 waiting.discard(node)
+                if not waiting:
+                    end_ms = now
 
         def flush(link: tuple[str, str]) -> None:
             conn = outbound[link]
@@ -127,6 +132,7 @@ class SocketCluster:
                 sel.register(sock, selectors.EVENT_READ, partial(read, conn))
 
         def read(conn: _Conn) -> None:
+            nonlocal panic
             role = roles[conn.node]
             while True:
                 try:
@@ -141,7 +147,14 @@ class SocketCluster:
                 now = self.now_ms()
                 for frame in frames:
                     src, msg = decode_frame(frame)
-                    apply(conn.node, role.on_message(src, msg, now), now)
+                    received[conn.node] = received.get(conn.node, 0) + 1
+                    try:
+                        effects = role.on_message(src, msg, now)
+                    except ReplicaPanic as exc:
+                        effects, panic = exc.effects, str(exc)
+                    apply(conn.node, effects, now)
+                    if panic is not None:
+                        return
 
         try:
             for node in roles:
@@ -150,7 +163,7 @@ class SocketCluster:
                 listener.setblocking(False)
                 ports[node] = listener.getsockname()[1]
                 sel.register(listener, selectors.EVENT_READ, partial(accept, listener, node))
-            while True:
+            while panic is None:
                 now = self.now_ms()
                 while timers and timers[0][0] <= now:
                     _deadline, _n, node, key = heapq.heappop(timers)
@@ -163,19 +176,15 @@ class SocketCluster:
                 wake = min(deadline, timers[0][0]) if timers else deadline
                 for key, _events in sel.select((wake - now) / 1000.0):
                     key.data()
+                    if panic is not None:
+                        break
         finally:
             for sock in socks:
                 sock.close()
             sel.close()
-        # the run ends at the last reply if its clients are done, else when
-        # the loop saw the deadline pass; closing the sockets is not run time
-        end_ms = now
-        completed = all(c.done for c in self.clients)
-        if completed:
-            end_ms = max(
-                (done for c in self.clients for _sent, done in c.reply_times),
-                default=end_ms,
-            )
-        return SocketRunResult(
-            history=history, completed=completed, end_ms=end_ms, clients=self.clients
+        return SimResult(
+            history=history, sent=sent, received=received, config=self.config,
+            roles=roles, clients=self.clients, layout=self.layout,
+            completed=all(c.done for c in self.clients),
+            end_ms=now if end_ms is None else end_ms, panic=panic,
         )

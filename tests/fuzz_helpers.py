@@ -88,6 +88,18 @@ def fuzz_config(seed: int, f: int, conflict_rate: float) -> tuple[SimConfig, lis
     return config, workload, faults
 
 
+CONFLICT_RATES = (0.0, 0.02, 0.1, 1.0)
+# simulated time a fuzz run goes on after its last reply, so that repairs no
+# client waits for land before commit_holes looks
+SETTLE_MS = 2000.0
+
+
+def short_scenario(seed: int) -> tuple[SimConfig, list, list[Crash]]:
+    """The safety-fuzz scenario of a seed: f alternates between 1 and 2, and
+    the conflict rate cycles through CONFLICT_RATES."""
+    return fuzz_config(seed, 1 + seed % 2, CONFLICT_RATES[seed % len(CONFLICT_RATES)])
+
+
 LONG_CLIENTS, LONG_COMMANDS = 20, 500
 # crashes land in the first two simulated minutes; a 10k-command run lasts
 # from about 20 s to 8 min of simulated time, and a run stalled by more

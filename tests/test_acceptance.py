@@ -2,7 +2,8 @@
 tolerance, printing one pass line on success (run with -s to see them).
 
 Criteria:
-  1. safety fuzz, 1000 seeded simulations with faults
+  1. safety fuzz, 1000 seeded simulations with faults, settled and free of
+     commit holes
   2. every shipped mutation detected (checker or model checker)
   3. exact per-role message counts (formula values, zero tolerance)
   4. example-execution and cycle figure scenarios
@@ -18,7 +19,8 @@ from fractions import Fraction
 
 import pytest
 
-from fuzz_helpers import fuzz_config, mutation_config, random_workload
+from fuzz_helpers import (SETTLE_MS, commit_holes, mutation_config, random_workload,
+                          short_scenario)
 from graphsmr.bench import BenchConfig, run_bench
 from graphsmr.core import (
     Command,
@@ -37,11 +39,10 @@ from graphsmr.harness import (
     role_loads,
     run_simulation,
 )
+from graphsmr.harness.sim import Simulation
 from graphsmr.leader import AssignEvent
 from graphsmr.modelcheck import ModelConfig, explore, full_conflicts
 from graphsmr.replica import ExecEvent, Replica
-
-CONFLICT_RATES = (0.0, 0.02, 0.1, 1.0)
 
 
 def _report(line: str) -> None:
@@ -51,17 +52,20 @@ def _report(line: str) -> None:
 def test_criterion_1_safety_fuzz_1000_seeds():
     completed = 0
     for seed in range(1000):
-        f = 1 if seed % 2 == 0 else 2
-        rate = CONFLICT_RATES[seed % len(CONFLICT_RATES)]
-        config, workload, faults = fuzz_config(seed, f, rate)
-        result = run_simulation(config, workload, faults)
+        config, workload, faults = short_scenario(seed)
+        result = Simulation(config, workload, faults).run(settle_ms=SETTLE_MS)
         verdict = check_history(result.history)
-        assert verdict.ok, f"seed {seed} (f={f}, rate={rate}):\n{verdict}"
-        completed += result.completed
+        assert verdict.ok, f"seed {seed} (f={config.f}):\n{verdict}"
+        if result.completed:
+            completed += 1
+            assert commit_holes(result, faults, SETTLE_MS) == [], f"seed {seed}"
+        if seed == 199:
+            assert completed >= 180
     _report(
         "criterion 1 PASS: 1000 seeded fault simulations, checker ok on all "
-        f"({completed} ran to completion; the rest hit crash schedules beyond "
-        "the global failure budget and stay merely safe)"
+        f"({completed} ran to completion and left no commit hole after settling; "
+        "the rest hit crash schedules beyond the global failure budget and stay "
+        "merely safe)"
     )
 
 

@@ -137,25 +137,35 @@ class TestCli:
 
     @pytest.mark.parametrize("flags", [["--conflict-rate", "1.5"], ["--clients", "0"],
                                        ["--min-delay-ms", "-2"],
-                                       ["--min-delay-ms", "3", "--max-delay-ms", "2"]],
-                             ids=["conflict-rate", "clients", "negative-delay", "inverted-delays"])
+                                       ["--min-delay-ms", "3", "--max-delay-ms", "2"],
+                                       ["--f", "-1"], ["--commands-per-client", "-1"],
+                                       ["--max-sim-ms", "-5"]],
+                             ids=["conflict-rate", "clients", "negative-delay", "inverted-delays",
+                                  "negative-f", "negative-commands", "negative-cap"])
     def test_sim_invalid_config_exit_two(self, flags, capsys):
         rc = main(["sim", "--commands-per-client", "2", *flags])
         captured = capsys.readouterr()
         assert rc == 2
         assert captured.out == ""
         assert captured.err.startswith("config error: ")
+        if "--max-sim-ms" in flags:
+            assert "got -5 ms" in captured.err
 
     @pytest.mark.parametrize("flags", [
         ["--service-cost-ms", "-1"],
         # sockets have no service-time model to spend a cost in
         ["--transport", "socket", "--service-cost-ms", "0.1"],
-    ], ids=["negative", "socket"])
+        ["--f", "-1"],
+        ["--commands-per-client", "0"],
+        ["--duration-ms", "0"],
+    ], ids=["negative", "socket", "negative-f", "no-commands", "zero-cap"])
     def test_bench_negative_service_cost_exit_two(self, capsys, flags):
         rc = main(["bench", "--commands-per-client", "2", *flags])
         captured = capsys.readouterr()
         assert rc == 2
         assert captured.err.startswith("config error: ")
+        if "--duration-ms" in flags:
+            assert "got 0 ms" in captured.err
 
     def test_sim_incomplete_run_exit_one(self, capsys):
         rc = main(["sim", "--clients", "2", "--commands-per-client", "5", "--max-sim-ms", "3"])

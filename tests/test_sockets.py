@@ -7,9 +7,12 @@ import threading
 
 import pytest
 
-from graphsmr.core import Get, Set
+from graphsmr.bench import BenchConfig, run_bench
+from graphsmr.core import NOOP_PROPOSAL, Get, Set
 from graphsmr.harness.history import check_history
 from graphsmr.harness.sim import SimConfig
+from graphsmr.messages import Commit
+from graphsmr.replica import Replica
 from graphsmr.sockets import SocketCluster
 
 
@@ -22,16 +25,16 @@ def test_socket_cluster_smoke():
         [Set(b"hot", b"1"), Get(b"k1"), Set(b"hot", b"2")],
         [Get(b"k2"), Set(b"hot", b"3")],
     ]
-    cluster = SocketCluster(SimConfig(seed=0, f=1, leaders=2, replicas=2), workload)
-    run = cluster.run(wall_limit_ms=20_000)
+    config = SimConfig(seed=0, f=1, leaders=2, replicas=2, max_sim_ms=20_000)
+    run = SocketCluster(config, workload).run()
     assert run.completed
     verdict = check_history(run.history)
     assert verdict.ok, str(verdict)
+    # a frame still in flight when the last client is done is sent, not received
+    assert 0 < sum(run.received.values()) <= sum(run.sent.values())
 
 
 def test_socket_bench_reports():
-    from graphsmr.bench import BenchConfig, run_bench
-
     report = run_bench(
         BenchConfig(
             clients=2,
@@ -43,13 +46,15 @@ def test_socket_bench_reports():
     assert report.commands == 6
     assert report.p50_ms <= report.p99_ms
     assert report.throughput > 0
+    assert set(report.role_loads) == {"leader", "proposer", "dep", "acceptor", "replica"}
+    assert all(load > 0 for load in report.role_loads.values())
 
 
 def test_end_ms_is_stamped_when_the_clients_are_done():
     """Throughput counts the run, not the shutdown: the end is the last
     reply, on the same clock. Closing the sockets does not count."""
     workload = [[Set(b"k", b"1"), Get(b"k")], [Set(b"j", b"2")]]
-    run = SocketCluster(SimConfig(seed=0), workload).run(wall_limit_ms=20_000)
+    run = SocketCluster(SimConfig(seed=0, max_sim_ms=20_000), workload).run()
     assert run.completed
     last_reply = max(done for c in run.clients for _sent, done in c.reply_times)
     assert run.end_ms == last_reply
@@ -57,15 +62,15 @@ def test_end_ms_is_stamped_when_the_clients_are_done():
 
 def test_every_connection_is_closed_when_run_returns():
     workload = [[Set(b"k", b"1"), Get(b"k")], [Set(b"j", b"2")]]
-    cluster = SocketCluster(SimConfig(seed=0), workload)
+    cluster = SocketCluster(SimConfig(seed=0, max_sim_ms=20_000), workload)
     before = open_fds()
-    assert cluster.run(wall_limit_ms=20_000).completed
+    assert cluster.run().completed
     assert open_fds() == before
 
 
 def test_run_starts_no_thread():
     workload = [[Set(b"k", b"1"), Get(b"k")], [Set(b"j", b"2")]]
-    cluster = SocketCluster(SimConfig(seed=0), workload)
+    cluster = SocketCluster(SimConfig(seed=0, max_sim_ms=20_000), workload)
     client = cluster.clients[0]
     during = []
 
@@ -75,14 +80,12 @@ def test_run_starts_no_thread():
 
     client.on_message = on_message
     before = threading.active_count()
-    assert cluster.run(wall_limit_ms=20_000).completed
+    assert cluster.run().completed
     assert during and set(during) == {before}
     assert threading.active_count() == before
 
 
 def test_many_clients_on_a_hot_key_complete():
-    from graphsmr.bench import BenchConfig, run_bench
-
     report = run_bench(
         BenchConfig(
             clients=64,
@@ -97,7 +100,7 @@ def test_many_clients_on_a_hot_key_complete():
 
 def test_a_role_handler_error_ends_the_run_after_cleanup():
     workload = [[Set(b"k", b"1"), Get(b"k")], [Set(b"j", b"2")]]
-    cluster = SocketCluster(SimConfig(seed=0), workload)
+    cluster = SocketCluster(SimConfig(seed=0, max_sim_ms=20_000), workload)
 
     def on_message(src, msg, now):
         raise RuntimeError("handler failed")
@@ -105,5 +108,30 @@ def test_a_role_handler_error_ends_the_run_after_cleanup():
     cluster.roles["leader-0"].on_message = on_message
     before = open_fds()
     with pytest.raises(RuntimeError, match="handler failed"):
-        cluster.run(wall_limit_ms=20_000)
+        cluster.run()
     assert open_fds() == before
+
+
+def conflicting_recommit(self, src, msg, now, handler=Replica.on_message):
+    """Replica.on_message that commits each vertex a second time as a noop,
+    so the replica's first Commit raises ReplicaPanic."""
+    if isinstance(msg, Commit):
+        handler(self, src, msg, now)
+        msg = Commit(msg.v, NOOP_PROPOSAL)
+    return handler(self, src, msg, now)
+
+
+def test_a_replica_panic_ends_the_run_with_its_evidence(monkeypatch):
+    monkeypatch.setattr(Replica, "on_message", conflicting_recommit)
+    workload = [[Set(b"k", b"1"), Get(b"k")], [Set(b"j", b"2")]]
+    cluster = SocketCluster(SimConfig(seed=0, max_sim_ms=20_000), workload)
+    before = open_fds()
+    run = cluster.run()
+    assert open_fds() == before
+    assert run.panic is not None and not run.completed
+    assert run.history[-1][2].proposal == NOOP_PROPOSAL  # the panic's evidence
+    verdict = check_history(run.history)
+    assert {v.kind for v in verdict.violations} == {"per-vertex-agreement"}
+    with pytest.raises(AssertionError, match="violated safety"):
+        run_bench(BenchConfig(clients=2, commands_per_client=2, transport="socket",
+                              duration_ms=20_000.0))
