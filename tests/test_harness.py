@@ -694,6 +694,19 @@ class TestCompleteness:
         assert [len(kv) for kv in kvs] == [400, 400]
         assert kvs[0] == kvs[1]
 
+    def test_fuzz_runs_leave_no_commit_holes(self):
+        completed = 0
+        for seed in range(200):
+            f = 1 if seed % 2 == 0 else 2
+            rate = [0.0, 0.02, 0.1, 1.0][seed % 4]
+            config, workload, faults = fuzz_config(seed, f, rate)
+            res = Simulation(config, workload, faults).run(settle_ms=2000.0)
+            assert check_history(res.history).ok, f"seed {seed}"
+            if res.completed:
+                completed += 1
+                assert commit_holes(res, faults, 2000.0) == [], f"seed {seed}"
+        assert completed >= 180
+
     def test_settling_keeps_end_ms_at_the_last_reply(self):
         config, workload, faults = pinned_runs()["lossy-leader-crash"]
         plain = run_simulation(config, workload, faults)
