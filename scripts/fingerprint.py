@@ -30,9 +30,7 @@ digest differs on stderr, and exits 1 if any did.
 
 import argparse
 import hashlib
-import random
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -41,7 +39,7 @@ sys.path.insert(0, str(ROOT / "tests"))
 sys.path.insert(0, str(ROOT / "perfbench"))
 
 from fuzz_helpers import fuzz_config, mutation_config, run_fingerprint
-from graphsmr.bench import BenchConfig, generate_workload, sim_config_for
+from graphsmr.bench import BenchConfig, generate_workload
 from graphsmr.harness import ALL_MUTATIONS, Crash, check_history, run_simulation
 from workloads import SIM_WORKLOADS, scenarios
 
@@ -59,17 +57,15 @@ def grid_runs(seeds, batches=(1, 4), conflicts=(0.0, 0.5, 1.0)):
         for batch in batches:
             for conflict in conflicts:
                 for seed in seeds:
-                    bench = BenchConfig(
+                    config = BenchConfig(
                         clients=6, commands_per_client=20, conflict_rate=conflict,
                         batch_size=batch, compact_deps=deps == "compact",
-                        min_delay_ms=1.0, max_delay_ms=3.0, seed=seed,
+                        min_delay_ms=1.0, max_delay_ms=3.0, drop_prob=0.05, dup_prob=0.05,
+                        capture_wire_trace=True, seed=seed,
                     )
-                    config = replace(sim_config_for(bench), drop_prob=0.05, dup_prob=0.05,
-                                     capture_wire_trace=True)
-                    workload = generate_workload(bench, random.Random(f"{seed}/workload"))
                     faults = [Crash("leader-1", 40.0)] if seed % 2 == 0 else []
                     yield (f"grid/{deps}/b{batch}/c{conflict}/{seed}",
-                           (config, workload, faults))
+                           (config, generate_workload(config), faults))
 
 
 def fuzz_runs(seeds):

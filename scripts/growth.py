@@ -24,7 +24,6 @@ Usage: python scripts/growth.py [--sizes 200 800 3200]
 import argparse
 import dataclasses
 import gc
-import random
 import sys
 import time
 from pathlib import Path
@@ -33,7 +32,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from graphsmr import wire
-from graphsmr.bench import BenchConfig, generate_workload, sim_config_for
+from graphsmr.bench import BenchConfig, generate_workload
 from graphsmr.harness import check_history, run_simulation
 
 CLIENTS = 10
@@ -57,10 +56,10 @@ def _config(deps: str, conflict: float, commands: int) -> BenchConfig:
 def measure(deps: str, conflict: float, commands: int) -> tuple[float, float]:
     """(simulation wall ms per command, checker wall seconds) for one run."""
     config = _config(deps, conflict, commands)
-    workload = generate_workload(config, random.Random(f"{config.seed}/workload"))
+    workload = generate_workload(config)
     gc.collect()
     t0 = time.perf_counter()
-    result = run_simulation(sim_config_for(config), workload)
+    result = run_simulation(config, workload)
     sim_s = time.perf_counter() - t0
     check_s = float("inf")
     for _ in range(CHECK_REPEATS):
@@ -78,10 +77,8 @@ def measure(deps: str, conflict: float, commands: int) -> tuple[float, float]:
 def measure_codec(commands: int) -> tuple[float, float, float]:
     """(trace bytes, encode us, decode us) per record of an exact-deps,
     all-conflict run's wire trace."""
-    config = _config("exact", 1.0, commands)
-    workload = generate_workload(config, random.Random(f"{config.seed}/workload"))
-    sim_config = dataclasses.replace(sim_config_for(config), capture_wire_trace=True)
-    trace = run_simulation(sim_config, workload).wire_trace
+    config = dataclasses.replace(_config("exact", 1.0, commands), capture_wire_trace=True)
+    trace = run_simulation(config, generate_workload(config)).wire_trace
     gc.collect()
     t0 = time.perf_counter()
     records = wire.decode_trace(trace)

@@ -8,13 +8,15 @@ model; they are not hardware performance claims.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import ceil
+from typing import Optional
+
 from .core import Get, Op, Set
-from .harness.cluster import check_delays
+from .harness.cluster import ConfigError
 from .harness.history import check_history
-from .harness.sim import SimConfig, Simulation, Timeouts, role_loads
+from .harness.sim import NO_TIMEOUTS, SimConfig, Simulation, role_loads
 from .sockets import SocketCluster
 
 HOT_KEY = b"hotkey!!"  # eight bytes, like every key and value
@@ -23,46 +25,31 @@ CSV_HEADER = "config_id,f,leaders,clients,conflict_rate,batch,throughput,p50_ms,
 
 
 @dataclass
-class BenchConfig:
+class BenchConfig(SimConfig):
+    """A SimConfig plus the closed-loop workload it runs and the transport
+    that runs it."""
+
+    max_sim_ms: float = 300_000.0  # a saturated bench runs long
     clients: int = 10
-    conflict_rate: float = 0.0
-    batch_size: int = 1
     commands_per_client: int = 20
-    duration_ms: float = 300_000.0  # simulated-time safety cap
-    f: int = 1
-    leaders: int = 2
-    replicas: int = 2
-    coupled: bool = False
-    thrifty: bool = False
-    compact_deps: bool = False
-    seed: int = 0
+    conflict_rate: float = 0.0
     transport: str = "sim"  # sim | socket
-    min_delay_ms: float = 1.0
-    max_delay_ms: float = 1.0
-    service_cost_ms: float = 0.0
     config_id: str = ""
 
     def validate(self) -> None:
+        super().validate()
         if not 0.0 <= self.conflict_rate <= 1.0:
-            raise ValueError("conflict_rate must lie in [0, 1]")
+            raise ConfigError("conflict_rate must lie in [0, 1]")
         if self.clients < 1:
-            raise ValueError("need at least one client")
+            raise ConfigError("need at least one client")
         if self.commands_per_client < 1:
-            raise ValueError("commands_per_client must be >= 1")
-        if not self.duration_ms > 0:
-            raise ValueError(f"the run's time cap must be positive, got {self.duration_ms:g} ms")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
+            raise ConfigError("commands_per_client must be >= 1")
         if self.transport not in ("sim", "socket"):
-            raise ValueError(f"unknown transport {self.transport!r}")
-        check_delays(self.min_delay_ms, self.max_delay_ms, self.service_cost_ms)
-        if self.transport == "socket" and self.service_cost_ms > 0:
-            raise ValueError("sockets have no service-time model: "
-                             "service_cost_ms must be 0 on transport socket")
+            raise ConfigError(f"unknown transport {self.transport!r}")
 
 
 class IncompleteRun(Exception):
-    """The run stopped at its duration cap before every command was answered."""
+    """The run stopped at its time cap before every command was answered."""
 
 
 @dataclass
@@ -83,10 +70,15 @@ class BenchReport:
         )
 
 
-def generate_workload(config: BenchConfig, rng: random.Random) -> list[list[Op]]:
+def generate_workload(
+    config: BenchConfig, rng: Optional[random.Random] = None
+) -> list[list[Op]]:
     """Closed-loop command streams: with probability conflict_rate a write
     to the single hot key, otherwise a read of a key unique to the draw.
-    Keys and values are eight bytes."""
+    Keys and values are eight bytes. The draws come from rng, by default
+    one seeded from config.seed."""
+    if rng is None:
+        rng = random.Random(f"{config.seed}/workload")
     streams: list[list[Op]] = []
     draw = 0
     for _c in range(config.clients):
@@ -130,33 +122,14 @@ def bottleneck_model(L: int, N: int, R: int) -> BottleneckModel:
     )
 
 
-def sim_config_for(config: BenchConfig) -> SimConfig:
-    saturated = config.service_cost_ms > 0
-    timeouts = Timeouts()
-    if saturated:
-        # queueing delay must not trip retransmits; the load model measures
-        # steady-state work, not fault handling
-        timeouts = Timeouts(
-            client_retry_ms=1e9,
-            leader_retransmit_ms=1e9,
-            proposer_retransmit_ms=1e9,
-            recovery_timeout_ms=1e9,
-        )
-    return SimConfig(
-        seed=config.seed,
-        f=config.f,
-        leaders=config.leaders,
-        replicas=config.replicas,
-        coupled=config.coupled,
-        min_delay_ms=config.min_delay_ms,
-        max_delay_ms=config.max_delay_ms,
-        service_cost_ms=config.service_cost_ms,
-        compact_deps=config.compact_deps,
-        thrifty=config.thrifty,
-        batch_size=config.batch_size,
-        timeouts=timeouts,
-        max_sim_ms=config.duration_ms,
-    )
+def sim_config_for(config: BenchConfig) -> BenchConfig:
+    """The config a bench run runs: config itself, or, when service time is
+    charged, config with timers that never fire. Queueing delay must not
+    trip retransmits; the load model measures steady-state work, not fault
+    handling."""
+    if config.service_cost_ms > 0:
+        return replace(config, timeouts=NO_TIMEOUTS)
+    return config
 
 
 def run_bench(config: BenchConfig) -> BenchReport:
@@ -164,10 +137,8 @@ def run_bench(config: BenchConfig) -> BenchReport:
     then summarise the run. Raises AssertionError on a safety violation and
     IncompleteRun if a command went unanswered. Socket runs report wall-clock
     times; both transports count the messages behind the role loads."""
-    config.validate()
-    workload = generate_workload(config, random.Random(f"{config.seed}/workload"))
     runner = SocketCluster if config.transport == "socket" else Simulation
-    run = runner(sim_config_for(config), workload).run()
+    run = runner(sim_config_for(config), generate_workload(config)).run()
     verdict = check_history(run.history)
     if not verdict.ok:
         raise AssertionError(f"bench run violated safety:\n{verdict}")
@@ -176,7 +147,7 @@ def run_bench(config: BenchConfig) -> BenchReport:
     total = config.clients * config.commands_per_client
     if commands < total:
         raise IncompleteRun(f"{commands}/{total} commands answered "
-                            f"within {config.duration_ms:g} ms")
+                            f"within {config.max_sim_ms:g} ms")
     elapsed_ms = run.end_ms if run.end_ms > 0 else 1.0
     return BenchReport(
         throughput=commands / (elapsed_ms / 1000.0),

@@ -15,12 +15,11 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import random
 import sys
 from typing import Optional
 
 from .bench import (CSV_HEADER, BenchConfig, BenchReport, IncompleteRun, bottleneck_model,
-                    generate_workload, run_bench, sim_config_for)
+                    generate_workload, run_bench)
 from .harness.cluster import ConfigError
 from .harness.history import check_history, export_history
 from .harness.sim import Crash, LinkFault, Partition, run_simulation
@@ -179,7 +178,8 @@ _BENCH_FIELDS = {f.name for f in dataclasses.fields(BenchConfig)}
 
 def _bench_config(args, **overrides) -> BenchConfig:
     """A subcommand's BenchConfig: flag destinations name its fields, and
-    overrides fill the fields a subcommand's flags name otherwise."""
+    overrides fill the fields a subcommand's flags name otherwise, such as
+    --duration-ms for max_sim_ms."""
     fields = {k: v for k, v in vars(args).items() if k in _BENCH_FIELDS}
     return BenchConfig(**{**fields, **overrides})
 
@@ -196,7 +196,7 @@ def _checked_run(config: BenchConfig, what: str) -> Optional[BenchReport]:
 
 
 def cmd_run(args) -> int:
-    config = _bench_config(args, transport="socket", duration_ms=args.wall_limit_ms)
+    config = _bench_config(args, transport="socket", max_sim_ms=args.wall_limit_ms)
     report = _checked_run(config, "smoke run")
     if report is None:
         return EXIT_VIOLATION
@@ -208,7 +208,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    config = _bench_config(args)
+    config = _bench_config(args, max_sim_ms=args.duration_ms)
     report = _checked_run(config, "bench run")
     if report is None:
         return EXIT_VIOLATION
@@ -243,16 +243,9 @@ def _append_csv(path: str, row: str) -> None:
 
 def cmd_sim(args) -> int:
     faults = parse_fault_file(args.faults) if args.faults else []
-    bench = _bench_config(args, duration_ms=args.max_sim_ms)
-    bench.validate()
-    config = dataclasses.replace(
-        sim_config_for(bench),
-        drop_prob=args.drop,
-        dup_prob=args.dup,
-        capture_wire_trace=bool(args.dump_trace),
-    )
-    workload = generate_workload(bench, random.Random(f"{args.seed}/workload"))
-    result = run_simulation(config, workload, faults)
+    config = _bench_config(args, drop_prob=args.drop, dup_prob=args.dup,
+                           capture_wire_trace=bool(args.dump_trace))
+    result = run_simulation(config, generate_workload(config), faults)
     if args.dump_history:
         with open(args.dump_history, "w", encoding="utf-8") as fh:
             fh.write(export_history(result.history))
@@ -261,14 +254,14 @@ def cmd_sim(args) -> int:
             fh.write(result.wire_trace)
     verdict = check_history(result.history)
     answered = sum(c.idx for c in result.clients)
-    total = args.clients * args.commands_per_client
+    total = config.clients * config.commands_per_client
     print(f"simulated {result.end_ms:.1f} ms, {answered}/{total} commands answered, "
           f"{len(result.history)} history events")
     if result.panic:
         print(f"replica panic: {result.panic}", file=sys.stderr)
     if not result.completed:
         print(f"simulation did not complete: {answered}/{total} commands answered "
-              f"within {args.max_sim_ms:g} ms", file=sys.stderr)
+              f"within {config.max_sim_ms:g} ms", file=sys.stderr)
     print(f"verdict: {verdict}")
     return EXIT_OK if verdict.ok and result.completed and not result.panic else EXIT_VIOLATION
 

@@ -12,6 +12,7 @@ from .sim import (
     Crash,
     Fault,
     LinkFault,
+    NO_TIMEOUTS,
     Partition,
     SimConfig,
     SimResult,
@@ -30,6 +31,7 @@ __all__ = [
     "LinkFault",
     "Mutations",
     "NO_MUTATIONS",
+    "NO_TIMEOUTS",
     "Partition",
     "Reply",
     "SimConfig",

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional
 
 from ..consensus import Acceptor, Proposer
 from ..core import Command, Op
@@ -138,34 +137,11 @@ def layout(f: int, leaders: int, replicas: int, clients: int) -> ClusterLayout:
     )
 
 
-def check_probabilities(drop: Optional[float], dup: Optional[float]) -> None:
-    """None stands for a probability left unset."""
-    if not all(p is None or 0.0 <= p <= 1.0 for p in (drop, dup)):
-        raise ConfigError("probabilities must lie in [0, 1]")
-
-
-def check_delays(min_delay_ms: float, max_delay_ms: float, service_cost_ms: float) -> None:
-    if not 0.0 <= min_delay_ms <= max_delay_ms:
-        raise ConfigError("delays must satisfy 0 <= min_delay_ms <= max_delay_ms")
-    if not service_cost_ms >= 0.0:
-        raise ConfigError("service_cost_ms must be >= 0")
-
-
 def build_cluster(config, workload: list[list[Op]]):
-    """Returns (roles, machine_of, clients, layout) for a SimConfig."""
+    """Returns (roles, machine_of, clients, layout) for a SimConfig, after
+    config.validate() has accepted it."""
+    config.validate()
     f = config.f
-    if f < 0:
-        raise ConfigError(f"f must be >= 0, got {f}")
-    if config.leaders < f + 1:
-        raise ConfigError(f"need at least f+1={f + 1} leaders, got {config.leaders}")
-    if config.replicas < f + 1:
-        raise ConfigError(f"need at least f+1={f + 1} replicas, got {config.replicas}")
-    if config.coupled and not (config.leaders == config.replicas == 2 * f + 1):
-        raise ConfigError("coupled mode fuses one node of each role: "
-                          "leaders = replicas = 2f+1 required")
-    check_probabilities(config.drop_prob, config.dup_prob)
-    check_delays(config.min_delay_ms, config.max_delay_ms, config.service_cost_ms)
-
     lay = layout(f, config.leaders, config.replicas, len(workload))
     t = config.timeouts
 

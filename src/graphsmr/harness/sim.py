@@ -23,7 +23,7 @@ from .. import wire
 from ..leader import AssignEvent
 from ..messages import Note, Send, SetTimer
 from ..replica import ReplicaPanic
-from .cluster import ConfigError, build_cluster, check_probabilities
+from .cluster import ConfigError, build_cluster
 from .history import Record
 from .mutations import Mutations, NO_MUTATIONS
 
@@ -34,6 +34,16 @@ class Timeouts:
     leader_retransmit_ms: float = 50.0
     proposer_retransmit_ms: float = 50.0
     recovery_timeout_ms: float = 100.0
+
+
+# timers that fire after any run's cap, so in effect never
+NO_TIMEOUTS = Timeouts(1e9, 1e9, 1e9, 1e9)
+
+
+def check_probabilities(drop: Optional[float], dup: Optional[float]) -> None:
+    """None stands for a probability left unset."""
+    if not all(p is None or 0.0 <= p <= 1.0 for p in (drop, dup)):
+        raise ConfigError("probabilities must lie in [0, 1]")
 
 
 @dataclass
@@ -55,6 +65,29 @@ class SimConfig:
     max_sim_ms: float = 60_000.0
     mutations: Mutations = field(default_factory=lambda: NO_MUTATIONS)
     capture_wire_trace: bool = False  # record delivered messages as frames
+
+    def validate(self) -> None:
+        """Raises ConfigError for a deployment no run can honour.
+        build_cluster calls it, so each run checks its config once."""
+        f = self.f
+        if f < 0:
+            raise ConfigError(f"f must be >= 0, got {f}")
+        if self.leaders < f + 1:
+            raise ConfigError(f"need at least f+1={f + 1} leaders, got {self.leaders}")
+        if self.replicas < f + 1:
+            raise ConfigError(f"need at least f+1={f + 1} replicas, got {self.replicas}")
+        if self.coupled and not (self.leaders == self.replicas == 2 * f + 1):
+            raise ConfigError("coupled mode fuses one node of each role: "
+                              "leaders = replicas = 2f+1 required")
+        check_probabilities(self.drop_prob, self.dup_prob)
+        if not 0.0 <= self.min_delay_ms <= self.max_delay_ms:
+            raise ConfigError("delays must satisfy 0 <= min_delay_ms <= max_delay_ms")
+        if not self.service_cost_ms >= 0.0:
+            raise ConfigError("service_cost_ms must be >= 0")
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not self.max_sim_ms > 0:
+            raise ConfigError(f"the run's time cap must be positive, got {self.max_sim_ms:g} ms")
 
 
 @dataclass(frozen=True)

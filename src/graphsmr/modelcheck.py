@@ -44,6 +44,11 @@ class ModelConfig:
     max_states: int = 5_000_000
 
     def __post_init__(self):
+        if self.dep_nodes < 1:
+            raise ValueError(f"need at least one dependency node, got {self.dep_nodes}")
+        if not 1 <= self.quorum_size <= self.dep_nodes:
+            raise ValueError(f"quorum_size must lie in [1, dep_nodes={self.dep_nodes}], "
+                             f"got {self.quorum_size}")
         if NOOP in self.commands:
             raise ValueError(f"{NOOP!r} is reserved and cannot be a command")
         for a, b in self.conflicts:

@@ -8,9 +8,10 @@ sends over one connection, opened on its first send. No call blocks: a read
 drains the socket, and a connection waits to be writable only while the
 kernel has not taken all its bytes.
 
-Provides no determinism and no fault injection; it exists to show the roles
-run unchanged off the simulator and for smoke-level benchmarking. Safety
-acceptance runs stay on the simulator.
+Provides no determinism, no service-time model, no fault injection and no
+wire trace, and rejects a config that asks for any of them; it exists to
+show the roles run unchanged off the simulator and for smoke-level
+benchmarking. Safety acceptance runs stay on the simulator.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import time
 from functools import partial
 from typing import Optional
 
-from .harness.cluster import build_cluster
+from .harness.cluster import ConfigError, build_cluster
 from .harness.history import Record
 from .harness.sim import SimResult
 from .messages import Note, Send, SetTimer
@@ -50,6 +51,12 @@ class SocketCluster:
         self.roles, _machines, self.clients, self.layout = build_cluster(
             sim_config, workload
         )
+        unsupported = [name for name in ("service_cost_ms", "drop_prob", "dup_prob",
+                                         "capture_wire_trace")
+                       if getattr(sim_config, name)]
+        if unsupported:
+            raise ConfigError(f"the socket transport cannot honour {', '.join(unsupported)}: "
+                              "it has no service-time model, fault injection or wire trace")
         self._t0 = time.monotonic()
 
     def now_ms(self) -> float:

@@ -9,6 +9,7 @@ from __future__ import annotations
 import hashlib
 import random
 from bisect import bisect_left
+from fractions import Fraction
 
 from graphsmr.consensus import ChosenEvent
 from graphsmr.core import Get, Op, Payload, Set, VertexId, footprint, key_access
@@ -40,6 +41,21 @@ def random_workload(
                 ops.append(Get(f"u{uniq:07d}".encode()))
         out.append(ops)
     return out
+
+
+def closed_form_loads(f: int, replicas: int) -> dict[str, Fraction]:
+    """Messages per command each role processes in a failure-free,
+    thrifty-off, batch-1 run (acceptance criterion 3), with N = 2f+1:
+    leader 2N+2, proposer 2N+R+1, dependency node 2, acceptor 2, replica
+    1+1/R."""
+    n = 2 * f + 1
+    return {
+        "leader": Fraction(2 * n + 2),
+        "proposer": Fraction(2 * n + replicas + 1),
+        "dep": Fraction(2),
+        "acceptor": Fraction(2),
+        "replica": 1 + Fraction(1, replicas),
+    }
 
 
 def crash_schedule_per_role(

@@ -15,12 +15,11 @@ Criteria:
 """
 
 import random
-from fractions import Fraction
 
 import pytest
 
-from fuzz_helpers import (SETTLE_MS, commit_holes, mutation_config, random_workload,
-                          short_scenario)
+from fuzz_helpers import (SETTLE_MS, closed_form_loads, commit_holes, mutation_config,
+                          random_workload, short_scenario)
 from graphsmr.bench import BenchConfig, run_bench
 from graphsmr.core import (
     Command,
@@ -116,20 +115,13 @@ def _loads_for(f, leaders, replicas, seed=11):
 
 def test_criterion_3_exact_message_counts():
     # failure-free, thrifty off, batch 1: per-command loads must equal the
-    # closed-form values exactly (N = 2f+1):
-    #   leader 2N+2, proposer 2N+R+1, dep node 2, acceptor 2, replica 1+1/R
-    for f, leaders, replicas in ((1, 2, 2), (2, 3, 3)):
-        n = 2 * f + 1
-        loads = _loads_for(f, leaders, replicas)
-        assert loads["leader"] == Fraction(2 * n + 2)
-        assert loads["proposer"] == Fraction(2 * n + replicas + 1)
-        assert loads["dep"] == Fraction(2)
-        assert loads["acceptor"] == Fraction(2)
-        assert loads["replica"] == 1 + Fraction(1, replicas)
+    # closed-form values exactly
+    for f, leaders, replicas in ((1, 2, 2), (1, 5, 2), (2, 3, 3)):
+        assert _loads_for(f, leaders, replicas) == closed_form_loads(f, replicas)
     _report(
         "criterion 3 PASS: per-role messages per command exactly 2N+2 / "
-        "2N+R+1 / 2 / 2 / 1+1/R (f=1,R=2: leader 8, proposer 9; f=2,R=3: "
-        "leader 12, proposer 14)"
+        "2N+R+1 / 2 / 2 / 1+1/R (f=1,R=2 at L=2 and L=5: leader 8, proposer 9; "
+        "f=2,R=3: leader 12, proposer 14)"
     )
 
 
@@ -257,7 +249,7 @@ def _ablation_throughput(coupled, leaders):
         min_delay_ms=0.1,
         max_delay_ms=0.1,
         service_cost_ms=1.0,
-        duration_ms=10_000_000.0,
+        max_sim_ms=10_000_000.0,
     )
     return run_bench(config).throughput
 

@@ -17,7 +17,7 @@ from graphsmr import bench, cli
 from graphsmr.cli import main, parse_fault_file
 from graphsmr.core import Set, Command
 from graphsmr.harness.history import Verdict, Violation
-from graphsmr.harness.sim import Crash, LinkFault, Partition, SimConfig
+from graphsmr.harness.sim import Crash, LinkFault, Partition
 
 
 class TestWorkload:
@@ -192,13 +192,13 @@ class TestCli:
                    "--dump-trace", str(trace)])
         assert rc == 0
         [(config, workload)] = seen
-        assert config == SimConfig(
+        assert config == BenchConfig(
             seed=4, f=1, leaders=3, replicas=2, coupled=False, min_delay_ms=0.5,
             max_delay_ms=2.0, drop_prob=0.1, dup_prob=0.05, compact_deps=True,
             thrifty=True, batch_size=3, max_sim_ms=5000.0, capture_wire_trace=True,
+            clients=2, commands_per_client=2, conflict_rate=0.5,
         )
-        expected = BenchConfig(clients=2, commands_per_client=2, conflict_rate=0.5, seed=4)
-        assert workload == generate_workload(expected, random.Random("4/workload"))
+        assert workload == generate_workload(config, random.Random("4/workload"))
 
     def test_run_checks_its_history(self, monkeypatch, capsys):
         checked = []
@@ -236,6 +236,17 @@ class TestCli:
                    "--vertex-bound", "2"])
         assert rc == 1
         assert "DepServiceConflicts" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("flags", [["--quorum-size", "5"], ["--quorum-size", "0"],
+                                       ["--dep-nodes", "0"]],
+                             ids=["quorum-above-nodes", "zero-quorum", "no-dep-nodes"])
+    def test_check_invalid_model_exit_two(self, flags, capsys):
+        """A quorum no set of dependency nodes can meet would pass vacuously."""
+        rc = main(["check", *flags])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("config error: ")
 
     def test_bench_csv_written(self, tmp_path, capsys):
         out = tmp_path / "rows.csv"

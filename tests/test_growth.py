@@ -9,14 +9,13 @@ is about 370 MB at 3200. The last guards bound the replica's executed-id
 state after a long conflict-free run and after a lossy one."""
 
 import dataclasses
-import random
 from collections import Counter
 from unittest.mock import patch
 
 import pytest
 
 from graphsmr import wire
-from graphsmr.bench import BenchConfig, generate_workload, sim_config_for
+from graphsmr.bench import BenchConfig, generate_workload
 from graphsmr.core import CommitGraph, CompactDeps, ExactDeps, Noop
 from graphsmr.depservice import DepServiceNode
 from graphsmr.harness import Crash, LinkFault, check_history, history, run_simulation
@@ -39,8 +38,7 @@ def all_conflict(commands, compact_deps):
         max_delay_ms=3.0,
         seed=1,
     )
-    workload = generate_workload(config, random.Random(f"{config.seed}/workload"))
-    return sim_config_for(config), workload
+    return config, generate_workload(config)
 
 
 def vertices(result):
@@ -231,8 +229,7 @@ def test_executed_state_is_bounded_by_the_gap():
     config = BenchConfig(
         clients=64, commands_per_client=50, min_delay_ms=1.0, max_delay_ms=2.0, seed=7
     )
-    workload = generate_workload(config, random.Random(f"{config.seed}/workload"))
-    result = run_simulation(sim_config_for(config), workload)
+    result = run_simulation(config, generate_workload(config))
     assert result.completed
     replicas = [r for r in result.roles.values() if isinstance(r, Replica)]
     assert len(replicas) == config.replicas
@@ -253,10 +250,10 @@ def test_executed_state_is_bounded_after_loss():
         clients=8, commands_per_client=150, conflict_rate=0.5,
         min_delay_ms=1.0, max_delay_ms=3.0, seed=7,
     )
-    workload = generate_workload(config, random.Random(f"{config.seed}/workload"))
+    workload = generate_workload(config)
     faults = [LinkFault("*", "*", drop=0.05, dup=0.05), Crash("leader-1", 500.0)]
     for settle_ms, most in ((0.0, config.clients), (2000.0, 0)):
-        result = Simulation(sim_config_for(config), workload, faults).run(settle_ms=settle_ms)
+        result = Simulation(config, workload, faults).run(settle_ms=settle_ms)
         assert result.completed
         replicas = [r for r in result.roles.values() if isinstance(r, Replica)]
         assert len(replicas) == config.replicas

@@ -19,9 +19,9 @@ from graphsmr.harness import (
     ConfigError,
     Crash,
     LinkFault,
+    NO_TIMEOUTS,
     Partition,
     SimConfig,
-    Timeouts,
     check_history,
     export_history,
     role_loads,
@@ -149,9 +149,7 @@ class TestEventLoop:
         """With timeouts of 1e9 ms no timer can fire before the 60 s cap, so
         the simulator queues none of them, and a loss-free run ends with
         nothing left in its heap."""
-        never = Timeouts(client_retry_ms=1e9, leader_retransmit_ms=1e9,
-                         proposer_retransmit_ms=1e9, recovery_timeout_ms=1e9)
-        sim = Simulation(SimConfig(seed=3, max_delay_ms=2.0, timeouts=never),
+        sim = Simulation(SimConfig(seed=3, max_delay_ms=2.0, timeouts=NO_TIMEOUTS),
                          simple_workload(clients=4, commands=10))
         res = sim.run()
         assert res.completed
@@ -367,6 +365,16 @@ class TestConfigValidation:
     def test_bad_delays_rejected(self, delays):
         with pytest.raises(ConfigError, match="delay|service_cost"):
             run_simulation(SimConfig(seed=0, **delays), simple_workload())
+
+    @pytest.mark.parametrize("cap", [
+        dict(batch_size=0),
+        dict(batch_size=-3),
+        dict(max_sim_ms=0.0),
+        dict(max_sim_ms=-5.0),
+    ], ids=["zero-batch", "negative-batch", "zero-cap", "negative-cap"])
+    def test_bad_batch_or_cap_rejected(self, cap):
+        with pytest.raises(ConfigError, match="batch_size|time cap"):
+            run_simulation(SimConfig(seed=0, **cap), simple_workload())
 
 
 class TestCheckerOnSyntheticHistories:

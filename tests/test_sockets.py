@@ -3,12 +3,15 @@ and carry no timing claims; they only show the role state machines work
 unchanged over real sockets."""
 
 import os
+import random
 import threading
 
 import pytest
 
+from fuzz_helpers import closed_form_loads, random_workload
 from graphsmr.bench import BenchConfig, run_bench
 from graphsmr.core import NOOP_PROPOSAL, Get, Set
+from graphsmr.harness import NO_TIMEOUTS, ConfigError, role_loads
 from graphsmr.harness.history import check_history
 from graphsmr.harness.sim import SimConfig
 from graphsmr.messages import Commit
@@ -40,7 +43,7 @@ def test_socket_bench_reports():
             clients=2,
             commands_per_client=3,
             transport="socket",
-            duration_ms=20_000.0,
+            max_sim_ms=20_000.0,
         )
     )
     assert report.commands == 6
@@ -48,6 +51,33 @@ def test_socket_bench_reports():
     assert report.throughput > 0
     assert set(report.role_loads) == {"leader", "proposer", "dep", "acceptor", "replica"}
     assert all(load > 0 for load in report.role_loads.values())
+
+
+def test_role_loads_match_criterion_3():
+    """Acceptance criterion 3's workload and (f, L, R) = (1, 2, 2), with
+    timers that never fire, so nothing is retransmitted: every role
+    processes exactly the closed-form messages per command over sockets
+    too."""
+    workload = random_workload(random.Random("acc3/11"), clients=4, commands=5,
+                               conflict_rate=0.1)
+    config = SimConfig(seed=11, timeouts=NO_TIMEOUTS, max_sim_ms=20_000)
+    run = SocketCluster(config, workload).run()
+    assert run.completed
+    assert check_history(run.history).ok
+    assert role_loads(run) == closed_form_loads(f=1, replicas=2)
+
+
+@pytest.mark.parametrize("unsupported", [
+    dict(drop_prob=0.1),
+    dict(dup_prob=0.1),
+    dict(capture_wire_trace=True),
+    dict(service_cost_ms=0.5),
+], ids=["drop", "dup", "trace", "service-cost"])
+def test_what_only_the_simulator_models_is_rejected(unsupported):
+    """A lossy or traced config would otherwise run lossless and untraced."""
+    [name] = unsupported
+    with pytest.raises(ConfigError, match=name):
+        SocketCluster(SimConfig(seed=0, max_sim_ms=20_000, **unsupported), [[Get(b"k")]])
 
 
 def test_end_ms_is_stamped_when_the_clients_are_done():
@@ -92,7 +122,7 @@ def test_many_clients_on_a_hot_key_complete():
             commands_per_client=5,
             conflict_rate=0.5,
             transport="socket",
-            duration_ms=20_000.0,
+            max_sim_ms=20_000.0,
         )
     )
     assert report.commands == 320
@@ -134,4 +164,4 @@ def test_a_replica_panic_ends_the_run_with_its_evidence(monkeypatch):
     assert {v.kind for v in verdict.violations} == {"per-vertex-agreement"}
     with pytest.raises(AssertionError, match="violated safety"):
         run_bench(BenchConfig(clients=2, commands_per_client=2, transport="socket",
-                              duration_ms=20_000.0))
+                              max_sim_ms=20_000.0))
