@@ -24,8 +24,9 @@ it) and checks itself against it with --compare. The runs:
 Usage: python scripts/fingerprint.py [--quick] > parent.txt
        python scripts/fingerprint.py [--quick] --compare parent.txt
 
---compare runs every run, names each one whose run digest or verdict
-digest differs on stderr, and exits 1 if any did.
+--compare runs every run, names on stderr each one whose run digest or
+verdict digest differs and each run of the file that no longer runs, and
+exits 1 if any did.
 """
 
 import argparse
@@ -40,7 +41,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 from fuzz_helpers import fuzz_config, mutation_config, run_fingerprint
 from graphsmr.bench import BenchConfig, generate_workload
-from graphsmr.harness import ALL_MUTATIONS, Crash, check_history, run_simulation
+from graphsmr.harness import ALL_MUTATIONS, Crash, LinkFault, check_history, run_simulation
 from workloads import SIM_WORKLOADS, scenarios
 
 
@@ -60,10 +61,11 @@ def grid_runs(seeds, batches=(1, 4), conflicts=(0.0, 0.5, 1.0)):
                     config = BenchConfig(
                         clients=6, commands_per_client=20, conflict_rate=conflict,
                         batch_size=batch, compact_deps=deps == "compact",
-                        min_delay_ms=1.0, max_delay_ms=3.0, drop_prob=0.05, dup_prob=0.05,
-                        capture_wire_trace=True, seed=seed,
+                        min_delay_ms=1.0, max_delay_ms=3.0, capture_wire_trace=True,
+                        seed=seed,
                     )
                     faults = [Crash("leader-1", 40.0)] if seed % 2 == 0 else []
+                    faults.append(LinkFault("*", "*", drop=0.05, dup=0.05))
                     yield (f"grid/{deps}/b{batch}/c{conflict}/{seed}",
                            (config, generate_workload(config), faults))
 
@@ -77,8 +79,7 @@ def fuzz_runs(seeds):
 def mutation_runs(seeds):
     for name, mutations in ALL_MUTATIONS.items():
         for seed in seeds:
-            config, workload = mutation_config(name, seed, mutations)
-            yield f"mutation/{name}/{seed}", (config, workload, [])
+            yield f"mutation/{name}/{seed}", mutation_config(name, seed, mutations)
 
 
 def all_runs(quick: bool):
@@ -98,7 +99,8 @@ def main() -> int:
     parser.add_argument("--quick", action="store_true", help="run a small subset")
     parser.add_argument("--compare", metavar="FILE",
                         help="name every run whose run or verdict digest differs "
-                             "from FILE's, then exit 1 if any did")
+                             "from FILE's, and every run of FILE not run, then exit 1 "
+                             "if any")
     args = parser.parse_args()
     expected = None
     if args.compare:
@@ -115,16 +117,20 @@ def main() -> int:
         runs += 1
         if expected is None:
             continue
-        want = (expected.get(name, []) + ["no entry"] * 2)[:2]
+        want = (expected.pop(name, []) + ["no entry"] * 2)[:2]
         for what, got, was in zip(("run", "verdict"), digests, want):
             if got != was:
                 print(f"differs: {name} {what} (expected {was})", file=sys.stderr, flush=True)
         if digests != want:
             differing += 1
+    # what is left of FILE's runs did not run
+    for name in expected or ():
+        print(f"missing: {name}", file=sys.stderr)
     if differing:
         print(f"{differing} of {runs} runs differ", file=sys.stderr)
-        return 1
-    return 0
+    if expected:
+        print(f"expected runs missing: {len(expected)}", file=sys.stderr)
+    return 1 if differing or expected else 0
 
 
 if __name__ == "__main__":

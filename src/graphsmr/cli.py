@@ -243,8 +243,10 @@ def _append_csv(path: str, row: str) -> None:
 
 def cmd_sim(args) -> int:
     faults = parse_fault_file(args.faults) if args.faults else []
-    config = _bench_config(args, drop_prob=args.drop, dup_prob=args.dup,
-                           capture_wire_trace=bool(args.dump_trace))
+    if args.drop or args.dup:
+        # after the file's faults, so its lines win on the links they set
+        faults.append(LinkFault("*", "*", drop=args.drop, dup=args.dup))
+    config = _bench_config(args, capture_wire_trace=bool(args.dump_trace))
     result = run_simulation(config, generate_workload(config), faults)
     if args.dump_history:
         with open(args.dump_history, "w", encoding="utf-8") as fh:

@@ -154,7 +154,7 @@ def build_cluster(config, workload: list[list[Op]]):
             dep_nodes=lay.dep_nodes,
             proposers=lay.proposers,
             batch_size=config.batch_size,
-            retransmit_ms=t.leader_retransmit_ms,
+            retransmit_ms=t.retransmit_ms,
             thrifty=config.thrifty,
         )
     for name in lay.dep_nodes:
@@ -172,7 +172,7 @@ def build_cluster(config, workload: list[list[Op]]):
             acceptors=lay.acceptors,
             replicas=lay.replicas,
             rng=random.Random(rng_seed),
-            retransmit_ms=t.proposer_retransmit_ms,
+            retransmit_ms=t.retransmit_ms,
         )
 
     for i, name in enumerate(lay.proposers):

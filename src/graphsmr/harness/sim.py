@@ -31,13 +31,12 @@ from .mutations import Mutations, NO_MUTATIONS
 @dataclass(frozen=True)
 class Timeouts:
     client_retry_ms: float = 200.0
-    leader_retransmit_ms: float = 50.0
-    proposer_retransmit_ms: float = 50.0
+    retransmit_ms: float = 50.0  # a leader's and a proposer's resend timer
     recovery_timeout_ms: float = 100.0
 
 
 # timers that fire after any run's cap, so in effect never
-NO_TIMEOUTS = Timeouts(1e9, 1e9, 1e9, 1e9)
+NO_TIMEOUTS = Timeouts(1e9, 1e9, 1e9)
 
 
 def check_probabilities(drop: Optional[float], dup: Optional[float]) -> None:
@@ -55,8 +54,6 @@ class SimConfig:
     coupled: bool = False
     min_delay_ms: float = 1.0
     max_delay_ms: float = 1.0
-    drop_prob: float = 0.0
-    dup_prob: float = 0.0
     service_cost_ms: float = 0.0
     compact_deps: bool = False
     thrifty: bool = False
@@ -79,7 +76,6 @@ class SimConfig:
         if self.coupled and not (self.leaders == self.replicas == 2 * f + 1):
             raise ConfigError("coupled mode fuses one node of each role: "
                               "leaders = replicas = 2f+1 required")
-        check_probabilities(self.drop_prob, self.dup_prob)
         if not 0.0 <= self.min_delay_ms <= self.max_delay_ms:
             raise ConfigError("delays must satisfy 0 <= min_delay_ms <= max_delay_ms")
         if not self.service_cost_ms >= 0.0:
@@ -98,9 +94,9 @@ class Crash:
 
 @dataclass(frozen=True)
 class LinkFault:
-    """Overrides the drop and duplication probabilities it sets on src->dst
-    ("*" wildcards). Each probability of a link comes from the first
-    matching fault that sets it, else from the run's drop_prob or dup_prob."""
+    """Drop and duplication probabilities of src->dst ("*" wildcards). Each
+    probability of a link comes from the first matching fault that sets it,
+    else it is 0. Run-wide loss is LinkFault("*", "*", ...) placed last."""
 
     src: str
     dst: str
@@ -178,9 +174,13 @@ class Simulation:
             elif isinstance(fault, Partition):
                 if fault.end_ms <= fault.start_ms:
                     raise ConfigError(f"partition does not end after it starts: {fault!r}")
+                if not fault.nodes or fault.nodes >= self.roles.keys():
+                    raise ConfigError(f"partition cuts no link: {fault!r}")
                 named = fault.nodes
                 self.partitions.append(fault)
             elif isinstance(fault, LinkFault):
+                if fault.drop is None and fault.dup is None:
+                    raise ConfigError(f"link fault sets no probability: {fault!r}")
                 check_probabilities(fault.drop, fault.dup)
                 named = {fault.src, fault.dst} - {"*"}
                 self.link_faults.append(fault)
@@ -202,13 +202,11 @@ class Simulation:
         if self.machine_of.get(src) == self.machine_of.get(dst) and src != dst:
             return True, 0.0, 0.0
         drop = dup = None
-        # the run's probabilities apply to every link no fault sets them on
-        run = LinkFault("*", "*", self.config.drop_prob, self.config.dup_prob)
-        for lf in (*self.link_faults, run):
+        for lf in self.link_faults:
             if lf.src in ("*", src) and lf.dst in ("*", dst):
                 drop = lf.drop if drop is None else drop
                 dup = lf.dup if dup is None else dup
-        return False, drop, dup
+        return False, drop or 0.0, dup or 0.0
 
     # -- main loop ---------------------------------------------------------
 

@@ -8,10 +8,11 @@ sends over one connection, opened on its first send. No call blocks: a read
 drains the socket, and a connection waits to be writable only while the
 kernel has not taken all its bytes.
 
-Provides no determinism, no service-time model, no fault injection and no
-wire trace, and rejects a config that asks for any of them; it exists to
-show the roles run unchanged off the simulator and for smoke-level
-benchmarking. Safety acceptance runs stay on the simulator.
+Provides no determinism, no modelled link delay, no service-time model, no
+fault injection and no wire trace: it takes no fault list, and it rejects a
+config that sets any field of SIMULATOR_ONLY away from its SimConfig
+default. It exists to show the roles run unchanged off the simulator and for
+smoke-level benchmarking. Safety acceptance runs stay on the simulator.
 """
 
 from __future__ import annotations
@@ -25,10 +26,16 @@ from typing import Optional
 
 from .harness.cluster import ConfigError, build_cluster
 from .harness.history import Record
-from .harness.sim import SimResult
+from .harness.sim import SimConfig, SimResult
 from .messages import Note, Send, SetTimer
 from .replica import ReplicaPanic
 from .wire import decode_frame, encode_frame, split_frames
+
+
+# what only the simulator models; the default of each means the transport's
+# own links and clock
+SIMULATOR_ONLY = ("min_delay_ms", "max_delay_ms", "service_cost_ms", "capture_wire_trace")
+_DEFAULTS = SimConfig()
 
 
 class _Conn:
@@ -51,12 +58,11 @@ class SocketCluster:
         self.roles, _machines, self.clients, self.layout = build_cluster(
             sim_config, workload
         )
-        unsupported = [name for name in ("service_cost_ms", "drop_prob", "dup_prob",
-                                         "capture_wire_trace")
-                       if getattr(sim_config, name)]
+        unsupported = [name for name in SIMULATOR_ONLY
+                       if getattr(sim_config, name) != getattr(_DEFAULTS, name)]
         if unsupported:
             raise ConfigError(f"the socket transport cannot honour {', '.join(unsupported)}: "
-                              "it has no service-time model, fault injection or wire trace")
+                              "only the simulator models them, so each must keep its default")
         self._t0 = time.monotonic()
 
     def now_ms(self) -> float:

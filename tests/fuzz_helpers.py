@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from graphsmr.consensus import ChosenEvent
 from graphsmr.core import Get, Op, Payload, Set, VertexId, footprint, key_access
-from graphsmr.harness import Crash, SimConfig, Timeouts, export_history
+from graphsmr.harness import Crash, Fault, LinkFault, SimConfig, Timeouts, export_history
 from graphsmr.harness.mutations import Mutations
 from graphsmr.replica import CommitSeen, ExecEvent, _tarjan_sccs
 
@@ -76,32 +76,32 @@ def crash_schedule_per_role(
     return faults
 
 
-def _lossy_config(rng: random.Random, seed: int, f: int) -> SimConfig:
+def _lossy_config(rng: random.Random, seed: int, f: int) -> tuple[SimConfig, LinkFault]:
     """The fuzz network: f+1 to f+3 leaders, f+1 replicas, delays from 1 ms
-    up to at most 10 ms, drops <= 0.2 and duplication <= 0.1 per message."""
+    up to at most 10 ms, and the run-wide loss: drops <= 0.2 and duplication
+    <= 0.1 per message."""
     leaders = rng.randint(f + 1, f + 3)
-    return SimConfig(
+    config = SimConfig(
         seed=seed,
         f=f,
         leaders=leaders,
         replicas=f + 1,
         min_delay_ms=1.0,
         max_delay_ms=rng.uniform(1.0, 10.0),
-        drop_prob=rng.uniform(0.0, 0.2),
-        dup_prob=rng.uniform(0.0, 0.1),
         max_sim_ms=60_000.0,
     )
+    return config, LinkFault("*", "*", drop=rng.uniform(0.0, 0.2), dup=rng.uniform(0.0, 0.1))
 
 
-def fuzz_config(seed: int, f: int, conflict_rate: float) -> tuple[SimConfig, list, list[Crash]]:
+def fuzz_config(seed: int, f: int, conflict_rate: float) -> tuple[SimConfig, list, list[Fault]]:
     """One safety-fuzz scenario: random drops (<= 0.2), duplication (<= 0.1),
     delay jitter, and up to f crash faults per role."""
     rng = random.Random(f"fuzz/{seed}")
-    config = _lossy_config(rng, seed, f)
+    config, loss = _lossy_config(rng, seed, f)
     config.compact_deps = rng.random() < 0.4
     workload = random_workload(rng, rng.randint(2, 4), rng.randint(2, 5), conflict_rate)
     faults = crash_schedule_per_role(rng, f, config.leaders, config.replicas, 250.0)
-    return config, workload, faults
+    return config, workload, [*faults, loss]
 
 
 CONFLICT_RATES = (0.0, 0.02, 0.1, 1.0)
@@ -110,7 +110,7 @@ CONFLICT_RATES = (0.0, 0.02, 0.1, 1.0)
 SETTLE_MS = 2000.0
 
 
-def short_scenario(seed: int) -> tuple[SimConfig, list, list[Crash]]:
+def short_scenario(seed: int) -> tuple[SimConfig, list, list[Fault]]:
     """The safety-fuzz scenario of a seed: f alternates between 1 and 2, and
     the conflict rate cycles through CONFLICT_RATES."""
     return fuzz_config(seed, 1 + seed % 2, CONFLICT_RATES[seed % len(CONFLICT_RATES)])
@@ -128,19 +128,19 @@ LONG_MAX_SIM_MS = 600_000.0
 LONG_KINDS = ((False, 0.02), (True, 0.02), (False, 0.1), (True, 0.1), (True, 1.0))
 
 
-def long_fuzz_config(seed: int) -> tuple[SimConfig, list, list[Crash]]:
+def long_fuzz_config(seed: int) -> tuple[SimConfig, list, list[Fault]]:
     """One long-tier scenario: fuzz_config's network and crash ranges over
     LONG_CLIENTS x LONG_COMMANDS commands. Consecutive seeds cycle through
     LONG_KINDS, and f alternates between 1 and 2 from one cycle to the
     next."""
     f = 1 + seed // len(LONG_KINDS) % 2
     rng = random.Random(f"long/{seed}")
-    config = _lossy_config(rng, seed, f)
+    config, loss = _lossy_config(rng, seed, f)
     config.compact_deps, rate = LONG_KINDS[seed % len(LONG_KINDS)]
     config.max_sim_ms = LONG_MAX_SIM_MS
     workload = random_workload(rng, LONG_CLIENTS, LONG_COMMANDS, rate)
     faults = crash_schedule_per_role(rng, f, config.leaders, config.replicas, LONG_CRASH_HORIZON_MS)
-    return config, workload, faults
+    return config, workload, [*faults, loss]
 
 
 # per-mutation sim settings chosen so the broken behaviour actually
@@ -160,6 +160,8 @@ MUTATION_FUZZ = {
 
 
 def mutation_config(name: str, seed: int, mutations: Mutations):
+    """(config, workload, faults) of a mutation's seeded run; the faults are
+    its run-wide drop probability."""
     p = MUTATION_FUZZ[name]
     rng = random.Random(f"mut/{name}/{seed}")
     config = SimConfig(
@@ -169,13 +171,12 @@ def mutation_config(name: str, seed: int, mutations: Mutations):
         replicas=2,
         min_delay_ms=1.0,
         max_delay_ms=p["jitter"],
-        drop_prob=p["drop"],
         mutations=mutations,
         timeouts=Timeouts(recovery_timeout_ms=p["recovery_ms"]),
         max_sim_ms=60_000.0,
     )
     workload = random_workload(rng, p["clients"], p["commands"], p["conflict_rate"])
-    return config, workload
+    return config, workload, [LinkFault("*", "*", drop=p["drop"])]
 
 
 def pairwise_conflict_violations(records) -> list[tuple[str, frozenset]]:

@@ -71,8 +71,7 @@ def test_criterion_1_safety_fuzz_1000_seeds():
 @pytest.mark.parametrize("name", sorted(ALL_MUTATIONS))
 def test_criterion_2_mutation_detected(name):
     for seed in range(200):
-        config, workload = mutation_config(name, seed, ALL_MUTATIONS[name])
-        result = run_simulation(config, workload)
+        result = run_simulation(*mutation_config(name, seed, ALL_MUTATIONS[name]))
         verdict = check_history(result.history)
         if not verdict.ok:
             kinds = {v.kind for v in verdict.violations}

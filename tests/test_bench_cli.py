@@ -158,7 +158,9 @@ class TestCli:
         ["--f", "-1"],
         ["--commands-per-client", "0"],
         ["--duration-ms", "0"],
-    ], ids=["negative", "socket", "negative-f", "no-commands", "zero-cap"])
+        # nor link delays of its own choosing
+        ["--transport", "socket", "--min-delay-ms", "50", "--max-delay-ms", "50"],
+    ], ids=["negative", "socket", "negative-f", "no-commands", "zero-cap", "socket-delay"])
     def test_bench_negative_service_cost_exit_two(self, capsys, flags):
         rc = main(["bench", "--commands-per-client", "2", *flags])
         captured = capsys.readouterr()
@@ -166,6 +168,8 @@ class TestCli:
         assert captured.err.startswith("config error: ")
         if "--duration-ms" in flags:
             assert "got 0 ms" in captured.err
+        if "socket" in flags:
+            assert "the socket transport cannot honour" in captured.err
 
     def test_sim_incomplete_run_exit_one(self, capsys):
         rc = main(["sim", "--clients", "2", "--commands-per-client", "5", "--max-sim-ms", "3"])
@@ -180,25 +184,46 @@ class TestCli:
         real_run_simulation = cli.run_simulation
 
         def run_simulation(config, workload, faults):
-            seen.append((config, workload))
+            seen.append((config, workload, faults))
             return real_run_simulation(config, workload, faults)
 
         monkeypatch.setattr(cli, "run_simulation", run_simulation)
         trace = tmp_path / "trace.bin"
+        schedule = tmp_path / "faults.txt"
+        schedule.write_text("drop leader-0->dep-1 0.5\n")
         rc = main(["sim", "--clients", "2", "--commands-per-client", "2", "--seed", "4",
                    "--leaders", "3", "--conflict-rate", "0.5", "--min-delay-ms", "0.5",
                    "--max-delay-ms", "2", "--drop", "0.1", "--dup", "0.05", "--thrifty",
                    "--batch", "3", "--compact-deps", "--max-sim-ms", "5000",
-                   "--dump-trace", str(trace)])
+                   "--dump-trace", str(trace), "--faults", str(schedule)])
         assert rc == 0
-        [(config, workload)] = seen
+        [(config, workload, faults)] = seen
         assert config == BenchConfig(
             seed=4, f=1, leaders=3, replicas=2, coupled=False, min_delay_ms=0.5,
-            max_delay_ms=2.0, drop_prob=0.1, dup_prob=0.05, compact_deps=True,
-            thrifty=True, batch_size=3, max_sim_ms=5000.0, capture_wire_trace=True,
-            clients=2, commands_per_client=2, conflict_rate=0.5,
+            max_delay_ms=2.0, compact_deps=True, thrifty=True, batch_size=3,
+            max_sim_ms=5000.0, capture_wire_trace=True, clients=2,
+            commands_per_client=2, conflict_rate=0.5,
         )
         assert workload == generate_workload(config, random.Random("4/workload"))
+        # --drop and --dup are one run-wide fault, after the file's, so the
+        # file's lines win on the links they set
+        assert faults == [LinkFault("leader-0", "dep-1", drop=0.5),
+                          LinkFault("*", "*", drop=0.1, dup=0.05)]
+
+    def test_sim_without_loss_flags_runs_the_file_faults_alone(self, tmp_path, monkeypatch):
+        seen = []
+        real_run_simulation = cli.run_simulation
+
+        def run_simulation(config, workload, faults):
+            seen.append(faults)
+            return real_run_simulation(config, workload, faults)
+
+        monkeypatch.setattr(cli, "run_simulation", run_simulation)
+        schedule = tmp_path / "faults.txt"
+        schedule.write_text("crash leader-1 30\n")
+        assert main(["sim", "--clients", "1", "--commands-per-client", "1",
+                     "--faults", str(schedule)]) == 0
+        assert seen == [[Crash("leader-1", 30.0)]]
 
     def test_run_checks_its_history(self, monkeypatch, capsys):
         checked = []

@@ -22,6 +22,7 @@ from graphsmr.harness import (
     NO_TIMEOUTS,
     Partition,
     SimConfig,
+    build_cluster,
     check_history,
     export_history,
     role_loads,
@@ -39,6 +40,10 @@ def simple_workload(clients=2, commands=3):
     return random_workload(rng, clients, commands, 0.3)
 
 
+# the name of every role and client of a default SimConfig's simple_workload()
+EVERY_NODE = frozenset(build_cluster(SimConfig(), simple_workload())[0])
+
+
 def pinned_runs():
     """name -> (config, workload, faults): small seeded runs that between
     them take every branch of the simulator's send and delivery paths."""
@@ -46,10 +51,11 @@ def pinned_runs():
     def workload(seed, clients, commands):
         return random_workload(random.Random(f"pin/{seed}"), clients, commands, 0.5)
 
-    lossy = dict(max_delay_ms=3.0, drop_prob=0.05, dup_prob=0.05)
+    loss = LinkFault("*", "*", drop=0.05, dup=0.05)
     return {
         "lossy-leader-crash": (
-            SimConfig(seed=31, **lossy), workload(31, 4, 6), [Crash("leader-1", 20.0)]
+            SimConfig(seed=31, max_delay_ms=3.0), workload(31, 4, 6),
+            [Crash("leader-1", 20.0), loss],
         ),
         "compact-batch4-thrifty": (
             SimConfig(seed=32, max_delay_ms=2.0, compact_deps=True, batch_size=4,
@@ -69,7 +75,8 @@ def pinned_runs():
             workload(35, 3, 4), [],
         ),
         "wire-trace": (
-            SimConfig(seed=36, capture_wire_trace=True, **lossy), workload(36, 3, 5), []
+            SimConfig(seed=36, capture_wire_trace=True, max_delay_ms=3.0), workload(36, 3, 5),
+            [loss],
         ),
     }
 
@@ -87,10 +94,10 @@ PINNED_FINGERPRINTS = {
 
 class TestDeterminism:
     def test_same_seed_byte_identical_history(self):
-        cfg = dict(seed=7, min_delay_ms=1.0, max_delay_ms=9.0, drop_prob=0.1,
-                   dup_prob=0.05)
-        a = run_simulation(SimConfig(**cfg), simple_workload())
-        b = run_simulation(SimConfig(**cfg), simple_workload())
+        cfg = dict(seed=7, min_delay_ms=1.0, max_delay_ms=9.0)
+        loss = [LinkFault("*", "*", drop=0.1, dup=0.05)]
+        a = run_simulation(SimConfig(**cfg), simple_workload(), loss)
+        b = run_simulation(SimConfig(**cfg), simple_workload(), loss)
         assert export_history(a.history) == export_history(b.history)
 
     def test_different_seed_differs(self):
@@ -211,8 +218,9 @@ class TestMessageCounts:
 class TestVertexIdInvariants:
     def test_ids_unique_and_contiguous_per_leader(self):
         res = run_simulation(
-            SimConfig(seed=3, max_delay_ms=6.0, drop_prob=0.1),
+            SimConfig(seed=3, max_delay_ms=6.0),
             simple_workload(clients=3, commands=4),
+            [LinkFault("*", "*", drop=0.1)],
         )
         per_leader: dict[str, list[int]] = {}
         seen = set()
@@ -256,10 +264,11 @@ class TestFaults:
         assert res.received.get("dep-0", 0) < res.received["dep-1"]
 
     @pytest.mark.parametrize("config, partial, whole", [
-        # a duplicate fault keeps the run's drop probability on its links
-        pytest.param(SimConfig(seed=24, drop_prob=0.2),
-                     [LinkFault("*", "rep-0", dup=0.25)],
-                     [LinkFault("*", "rep-0", drop=0.2, dup=0.25)], id="run-drop-kept"),
+        # a duplicate fault keeps the run-wide drop probability on its links
+        pytest.param(SimConfig(seed=24),
+                     [LinkFault("*", "rep-0", dup=0.25), LinkFault("*", "*", drop=0.2)],
+                     [LinkFault("*", "rep-0", drop=0.2, dup=0.25),
+                      LinkFault("*", "*", drop=0.2)], id="run-drop-kept"),
         # a later fault sets what an earlier matching one leaves unset
         pytest.param(SimConfig(seed=24),
                      [LinkFault("*", "*", drop=0.2), LinkFault("leader-0", "*", dup=1.0)],
@@ -338,13 +347,14 @@ class TestConfigValidation:
 
     def test_bad_probability_rejected(self):
         with pytest.raises(ConfigError):
-            run_simulation(SimConfig(seed=0, drop_prob=1.5), simple_workload())
+            run_simulation(SimConfig(seed=0), simple_workload(), [LinkFault("*", "*", dup=1.5)])
 
     @pytest.mark.parametrize("fault", [
         LinkFault("*", "*", drop=1.5),
         LinkFault("leader-0", "*", dup=-0.1),
-        # faults that can never fire: a node the cluster lacks, or a
-        # partition that does not end after it starts
+        # faults that can never fire: a node the cluster lacks, a partition
+        # that does not end after it starts or that cuts no link, or a link
+        # fault that sets no probability
         pytest.param(Crash("leader-9", 10.0), id="crash-unknown-node"),
         pytest.param(Partition(frozenset({"rep-0", "rep0"}), 5.0, 60.0),
                      id="partition-unknown-node"),
@@ -352,6 +362,9 @@ class TestConfigValidation:
         pytest.param(Partition(frozenset({"rep-0"}), 50.0, 50.0), id="partition-empty"),
         pytest.param(LinkFault("*", "dep-7", drop=0.5), id="link-unknown-dst"),
         pytest.param(LinkFault("leader0", "*", dup=0.5), id="link-unknown-src"),
+        pytest.param(LinkFault("*", "*"), id="link-sets-nothing"),
+        pytest.param(Partition(frozenset(), 5.0, 60.0), id="partition-no-node"),
+        pytest.param(Partition(EVERY_NODE, 5.0, 60.0), id="partition-every-node"),
     ])
     def test_bad_link_fault_probability_rejected(self, fault):
         with pytest.raises(ConfigError):
@@ -656,8 +669,7 @@ class TestMutationDetection:
     @pytest.mark.parametrize("name", sorted(ALL_MUTATIONS))
     def test_mutation_caught_quickly(self, name):
         for seed in range(40):
-            config, workload = mutation_config(name, seed, ALL_MUTATIONS[name])
-            res = run_simulation(config, workload)
+            res = run_simulation(*mutation_config(name, seed, ALL_MUTATIONS[name]))
             if not check_history(res.history).ok:
                 return
         pytest.fail(f"{name} not caught within 40 seeds")
@@ -667,8 +679,7 @@ class TestMutationDetection:
 
         for name in sorted(ALL_MUTATIONS):
             for seed in range(25):
-                config, workload = mutation_config(name, seed, NO_MUTATIONS)
-                res = run_simulation(config, workload)
+                res = run_simulation(*mutation_config(name, seed, NO_MUTATIONS))
                 verdict = check_history(res.history)
                 assert verdict.ok, f"{name} seed {seed}:\n{verdict}"
 
@@ -693,8 +704,9 @@ class TestCompleteness:
     def test_lossy_commuting_writes_reach_every_replica(self, seed):
         workload = [[Set(f"c{c}k{i:03d}".encode(), b"v") for i in range(100)]
                     for c in range(4)]
-        config = SimConfig(seed=seed, drop_prob=0.05, min_delay_ms=1.0, max_delay_ms=3.0)
-        res = Simulation(config, workload).run(settle_ms=2000.0)
+        config = SimConfig(seed=seed, min_delay_ms=1.0, max_delay_ms=3.0)
+        loss = [LinkFault("*", "*", drop=0.05)]
+        res = Simulation(config, workload, loss).run(settle_ms=2000.0)
         assert res.completed
         assert check_history(res.history).ok
         assert commit_holes(res, settle_ms=2000.0) == []
@@ -823,9 +835,9 @@ class TestClientLeaderChoice:
 class TestThriftyEndToEnd:
     def test_thrifty_with_drops_completes_by_widening(self):
         res = run_simulation(
-            SimConfig(seed=31, thrifty=True, drop_prob=0.15, max_delay_ms=4.0,
-                      max_sim_ms=120_000),
+            SimConfig(seed=31, thrifty=True, max_delay_ms=4.0, max_sim_ms=120_000),
             simple_workload(clients=3, commands=4),
+            [LinkFault("*", "*", drop=0.15)],
         )
         assert res.completed
         assert check_history(res.history).ok

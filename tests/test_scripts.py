@@ -68,3 +68,11 @@ def test_fingerprint_quick_is_reproducible(tmp_path):
         [lines[i].split()[0], what] for i, what in tampered.items()
     ]
     assert proc.stderr.splitlines()[-1] == f"2 of {len(lines)} runs differ"
+
+    # a run the file expects that the script no longer runs
+    gone = f"mutation/gone/0 {'0' * 64} {'0' * 64}"
+    (tmp_path / "more.txt").write_text(first.stdout + gone + "\n")
+    proc = fingerprint("--compare", "more.txt")
+    assert proc.returncode == 1
+    assert proc.stdout == first.stdout
+    assert proc.stderr.splitlines() == ["missing: mutation/gone/0", "expected runs missing: 1"]

@@ -2,6 +2,7 @@
 and carry no timing claims; they only show the role state machines work
 unchanged over real sockets."""
 
+import dataclasses
 import os
 import random
 import threading
@@ -67,17 +68,43 @@ def test_role_loads_match_criterion_3():
     assert role_loads(run) == closed_form_loads(f=1, replicas=2)
 
 
-@pytest.mark.parametrize("unsupported", [
-    dict(drop_prob=0.1),
-    dict(dup_prob=0.1),
-    dict(capture_wire_trace=True),
-    dict(service_cost_ms=0.5),
-], ids=["drop", "dup", "trace", "service-cost"])
-def test_what_only_the_simulator_models_is_rejected(unsupported):
-    """A lossy or traced config would otherwise run lossless and untraced."""
-    [name] = unsupported
+# Every SimConfig field is one a socket run honours or one only the simulator
+# models, which the socket transport rejects; each of those comes with a value
+# other than its default. coupled is honoured as a deployment shape: fused
+# roles still check leaders = replicas = 2f+1, and every role is its own
+# loopback endpoint either way.
+HONOURED = {"seed", "f", "leaders", "replicas", "coupled", "compact_deps", "thrifty",
+            "batch_size", "timeouts", "max_sim_ms", "mutations"}
+REJECTED = [
+    pytest.param("min_delay_ms", 0.5, id="min-delay"),
+    pytest.param("max_delay_ms", 2.0, id="max-delay"),
+    pytest.param("capture_wire_trace", True, id="trace"),
+    pytest.param("service_cost_ms", 0.5, id="service-cost"),
+]
+
+
+def test_every_config_field_is_honoured_or_rejected():
+    """A new field must join one of the two sets, so a simulator-only one
+    cannot be ignored silently by socket runs."""
+    rejected = {param.values[0] for param in REJECTED}
+    assert not HONOURED & rejected
+    assert {f.name for f in dataclasses.fields(SimConfig)} == HONOURED | rejected
+
+
+@pytest.mark.parametrize("name, value", REJECTED)
+def test_what_only_the_simulator_models_is_rejected(name, value):
+    """A delayed, traced or costed config would otherwise run on the
+    transport's own links, untraced and at no cost."""
     with pytest.raises(ConfigError, match=name):
-        SocketCluster(SimConfig(seed=0, max_sim_ms=20_000, **unsupported), [[Get(b"k")]])
+        SocketCluster(SimConfig(seed=0, max_sim_ms=20_000, **{name: value}), [[Get(b"k")]])
+
+
+def test_a_socket_bench_with_link_delays_is_rejected():
+    """Eight 50 ms link delays would take 400 ms, which loopback links do
+    not model."""
+    with pytest.raises(ConfigError, match="min_delay_ms, max_delay_ms"):
+        run_bench(BenchConfig(clients=2, commands_per_client=3, transport="socket",
+                              min_delay_ms=50.0, max_delay_ms=50.0))
 
 
 def test_end_ms_is_stamped_when_the_clients_are_done():

@@ -520,11 +520,12 @@ class TestSimulatorTraceDump:
         import random
 
         from fuzz_helpers import random_workload
-        from graphsmr.harness import SimConfig, run_simulation
+        from graphsmr.harness import LinkFault, SimConfig, run_simulation
 
         result = run_simulation(
-            SimConfig(seed=3, drop_prob=0.05, dup_prob=0.05, capture_wire_trace=True),
+            SimConfig(seed=3, capture_wire_trace=True),
             random_workload(random.Random(3), 4, 10, 0.5),
+            [LinkFault("*", "*", drop=0.05, dup=0.05)],
         )
         records = decode_trace(result.wire_trace)
         assert max(len(m.proposal.deps) for _s, _d, m in records if isinstance(m, Commit)) > 1
