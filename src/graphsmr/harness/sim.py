@@ -9,6 +9,11 @@ service_cost_ms, so a busy machine queues work behind itself. Timers fire
 instantly (they model local clocks, not network work). Messages between
 roles fused onto one machine skip the network entirely but still cost
 service time there.
+
+A run pauses the cyclic garbage collector, which is safe because a run
+builds no reference cycles (tests/test_harness.py checks it), so reference
+counting frees all it drops and the collector would only re-walk the live
+commit graphs, history and dependency sets.
 """
 
 from __future__ import annotations
@@ -24,7 +29,7 @@ from ..leader import AssignEvent
 from ..messages import Note, Send, SetTimer
 from ..replica import ReplicaPanic
 from .cluster import ConfigError, build_cluster
-from .history import Record
+from .history import Record, gc_paused
 from .mutations import Mutations, NO_MUTATIONS
 
 
@@ -210,6 +215,7 @@ class Simulation:
 
     # -- main loop ---------------------------------------------------------
 
+    @gc_paused()
     def run(self, settle_ms: float = 0.0) -> SimResult:
         """Deliver events until every client is done, then for settle_ms
         more of simulated time, so repairs that no client waits for can

@@ -33,8 +33,10 @@ from .wire import decode_frame, encode_frame, split_frames
 
 
 # what only the simulator models; the default of each means the transport's
-# own links and clock
-SIMULATOR_ONLY = ("min_delay_ms", "max_delay_ms", "service_cost_ms", "capture_wire_trace")
+# own links and clock, and every role its own endpoint (coupled fuses roles
+# onto one machine, whose messages skip the network only in the simulator)
+SIMULATOR_ONLY = ("min_delay_ms", "max_delay_ms", "service_cost_ms", "capture_wire_trace",
+                  "coupled")
 _DEFAULTS = SimConfig()
 
 
@@ -54,15 +56,15 @@ class SocketCluster:
     """Stands up every role (and client) as a TCP endpoint of one loop."""
 
     def __init__(self, sim_config, workload) -> None:
-        self.config = sim_config
-        self.roles, _machines, self.clients, self.layout = build_cluster(
-            sim_config, workload
-        )
         unsupported = [name for name in SIMULATOR_ONLY
                        if getattr(sim_config, name) != getattr(_DEFAULTS, name)]
         if unsupported:
             raise ConfigError(f"the socket transport cannot honour {', '.join(unsupported)}: "
                               "only the simulator models them, so each must keep its default")
+        self.config = sim_config
+        self.roles, _machines, self.clients, self.layout = build_cluster(
+            sim_config, workload
+        )
         self._t0 = time.monotonic()
 
     def now_ms(self) -> float:

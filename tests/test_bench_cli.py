@@ -160,7 +160,11 @@ class TestCli:
         ["--duration-ms", "0"],
         # nor link delays of its own choosing
         ["--transport", "socket", "--min-delay-ms", "50", "--max-delay-ms", "50"],
-    ], ids=["negative", "socket", "negative-f", "no-commands", "zero-cap", "socket-delay"])
+        # nor roles fused onto one machine
+        ["--transport", "socket", "--coupled", "--leaders", "3", "--replicas", "3",
+         "--clients", "2", "--commands-per-client", "3"],
+    ], ids=["negative", "socket", "negative-f", "no-commands", "zero-cap", "socket-delay",
+            "socket-coupled"])
     def test_bench_negative_service_cost_exit_two(self, capsys, flags):
         rc = main(["bench", "--commands-per-client", "2", *flags])
         captured = capsys.readouterr()

@@ -1,3 +1,4 @@
+import gc
 import random
 from collections import Counter
 from fractions import Fraction
@@ -7,8 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from fuzz_helpers import (
     commit_holes, conflicts, fuzz_config, mutation_config, ordered_unlinked_pairs,
-    pairwise_conflict_violations, random_workload, run_fingerprint,
+    pairwise_conflict_violations, random_workload, run_fingerprint, short_scenario,
 )
+from graphsmr.bench import BenchConfig, generate_workload, sim_config_for
 from graphsmr.core import (
     Batch, Get, NOOP, NOOP_PROPOSAL, Proposal, Set, VertexId, CompactDeps, ExactDeps,
     EMPTY_DEPS, Command,
@@ -28,6 +30,7 @@ from graphsmr.harness import (
     role_loads,
     run_simulation,
 )
+from graphsmr.harness import history as history_module
 from graphsmr.harness.history import Invoke, Reply
 from graphsmr.harness.sim import Simulation
 from graphsmr.leader import AssignEvent
@@ -883,3 +886,112 @@ class TestBatchFlushBound:
             if isinstance(ev, AssignEvent) and isinstance(ev.cmd, Batch)
         ]
         assert sizes and all(1 <= s <= 6 for s in sizes)
+
+
+def no_cycle_runs():
+    """name -> (config, workload, faults): small runs that between them take
+    the simulator's paths, every mutation (one ends in a ReplicaPanic, with
+    acceptor-ignores-promises at seed 3) and the shapes of the benchmark's
+    three workloads."""
+    runs = {f"short/{seed}": short_scenario(seed) for seed in range(3)}
+    for name, mutations in sorted(ALL_MUTATIONS.items()):
+        for seed in (2, 3):
+            runs[f"{name}/{seed}"] = mutation_config(name, seed, mutations)
+    runs["coupled"] = pinned_runs()["coupled"]
+    shapes = {
+        "commute-shaped": (BenchConfig(clients=8, commands_per_client=10,
+                                       service_cost_ms=0.05, max_delay_ms=2.0, seed=1), []),
+        "hotspot-shaped": (BenchConfig(clients=8, commands_per_client=10, conflict_rate=0.5,
+                                       compact_deps=True, batch_size=8, thrifty=True,
+                                       service_cost_ms=0.05, min_delay_ms=1.4,
+                                       max_delay_ms=1.6, seed=2), []),
+        "faults-shaped": (BenchConfig(clients=4, commands_per_client=20, conflict_rate=0.5,
+                                      max_delay_ms=3.0, capture_wire_trace=True, seed=3),
+                          [LinkFault("*", "*", drop=0.05, dup=0.05), Crash("leader-1", 20.0)]),
+    }
+    for name, (bench, faults) in shapes.items():
+        runs[name] = (sim_config_for(bench), generate_workload(bench), faults)
+    return runs
+
+
+class TestCollectorPause:
+    """Simulation.run and check_history pause the cyclic garbage collector
+    (history.gc_paused). That is safe only while neither builds a reference
+    cycle, so that reference counting alone frees all they drop."""
+
+    @pytest.fixture
+    def freed(self):
+        """The number of objects each collection freed, from every
+        collection: the first one after a pause runs by itself when the
+        collector is turned back on, before gc.collect() is called."""
+        counts = []
+
+        def count(phase, info):
+            if phase == "stop":
+                counts.append(info["collected"] + info["uncollectable"])
+
+        gc.callbacks.append(count)
+        yield counts
+        gc.callbacks.remove(count)
+
+    def test_runs_and_checks_leave_no_cyclic_garbage(self, freed):
+        panics = violations = 0
+        for name, (config, workload, faults) in no_cycle_runs().items():
+            # a result still holding the previous run's roles would turn a
+            # cycle they built at construction into garbage during this run
+            gc.collect()
+            freed.clear()
+            result = Simulation(config, workload, faults).run()
+            gc.collect()
+            assert sum(freed) == 0, f"{name}: the run left cyclic garbage"
+            verdict = check_history(result.history)
+            gc.collect()
+            assert sum(freed) == 0, f"{name}: the check left cyclic garbage"
+            panics += result.panic is not None
+            violations += not verdict.ok
+            del result, verdict
+        assert panics and violations  # both kinds of run ending were covered
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+    def test_the_collectors_state_is_put_back(self, enabled, monkeypatch):
+        paused = []
+        index = history_module._key_index
+
+        def observed(proposals):
+            paused.append(not gc.isenabled())
+            return index(proposals)
+
+        monkeypatch.setattr(history_module, "_key_index", observed)
+        sim = Simulation(SimConfig(seed=1), simple_workload())
+        client = sim.roles["client-0"]
+
+        def observed_timer(key, now, handler=client.on_timer):
+            paused.append(not gc.isenabled())
+            return handler(key, now)
+
+        client.on_timer = observed_timer
+        was_on = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            res = sim.run()
+            assert gc.isenabled() is enabled
+            assert check_history(res.history).ok
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was_on else gc.disable)()
+        assert paused and all(paused)
+
+    def test_the_collector_is_back_on_when_a_handler_raises(self):
+        sim = Simulation(SimConfig(seed=1), simple_workload())
+        paused = []
+
+        def raising(src, msg, now):
+            paused.append(not gc.isenabled())
+            raise RuntimeError("handler failed")
+
+        sim.roles["leader-0"].on_message = raising
+        assert gc.isenabled()
+        with pytest.raises(RuntimeError, match="handler failed"):
+            sim.run()
+        assert paused == [True]
+        assert gc.isenabled()

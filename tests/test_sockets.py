@@ -70,16 +70,17 @@ def test_role_loads_match_criterion_3():
 
 # Every SimConfig field is one a socket run honours or one only the simulator
 # models, which the socket transport rejects; each of those comes with a value
-# other than its default. coupled is honoured as a deployment shape: fused
-# roles still check leaders = replicas = 2f+1, and every role is its own
-# loopback endpoint either way.
-HONOURED = {"seed", "f", "leaders", "replicas", "coupled", "compact_deps", "thrifty",
+# other than its default. coupled is rejected: fused roles exchange messages
+# off the network only in the simulator, while every role of a socket run is
+# its own loopback endpoint either way.
+HONOURED = {"seed", "f", "leaders", "replicas", "compact_deps", "thrifty",
             "batch_size", "timeouts", "max_sim_ms", "mutations"}
 REJECTED = [
     pytest.param("min_delay_ms", 0.5, id="min-delay"),
     pytest.param("max_delay_ms", 2.0, id="max-delay"),
     pytest.param("capture_wire_trace", True, id="trace"),
     pytest.param("service_cost_ms", 0.5, id="service-cost"),
+    pytest.param("coupled", True, id="coupled"),
 ]
 
 
@@ -93,9 +94,10 @@ def test_every_config_field_is_honoured_or_rejected():
 
 @pytest.mark.parametrize("name, value", REJECTED)
 def test_what_only_the_simulator_models_is_rejected(name, value):
-    """A delayed, traced or costed config would otherwise run on the
-    transport's own links, untraced and at no cost."""
-    with pytest.raises(ConfigError, match=name):
+    """A delayed, traced, costed or coupled config would otherwise run on
+    the transport's own links, untraced, at no cost and unfused. The field is
+    named before the rest of the config is checked."""
+    with pytest.raises(ConfigError, match=f"cannot honour {name}"):
         SocketCluster(SimConfig(seed=0, max_sim_ms=20_000, **{name: value}), [[Get(b"k")]])
 
 
