@@ -189,7 +189,8 @@ class Proposer:
             inst = self.instances[v]
             if inst.chosen is not None:
                 # duplicate request after the fact: re-announce the decision
-                return [Send(r, Commit(v, inst.chosen)) for r in self.replicas]
+                commit = Commit(v, inst.chosen)
+                return [Send(r, commit) for r in self.replicas]
             return []
         if self._owns(v, 0):
             inst = _Instance(value=value, round=0, phase="p2", p2_value=value)
@@ -205,7 +206,8 @@ class Proposer:
         return self._phase1_sends(v, inst)
 
     def _phase1_sends(self, v: VertexId, inst: _Instance) -> list[Effect]:
-        out: list[Effect] = [Send(a, Phase1a(v, inst.round)) for a in self.acceptors]
+        request = Phase1a(v, inst.round)
+        out: list[Effect] = [Send(a, request) for a in self.acceptors]
         out.append(SetTimer(self.retransmit_ms, ("paxos-retx", v)))
         return out
 
@@ -213,9 +215,8 @@ class Proposer:
         # retransmits keep any acks already gathered; acceptors re-accept an
         # equal round, so duplicates are harmless
         assert inst.p2_value is not None
-        out: list[Effect] = [
-            Send(a, Phase2a(v, inst.round, inst.p2_value)) for a in self.acceptors
-        ]
+        request = Phase2a(v, inst.round, inst.p2_value)
+        out: list[Effect] = [Send(a, request) for a in self.acceptors]
         out.append(SetTimer(self.retransmit_ms, ("paxos-retx", v)))
         return out
 
@@ -283,8 +284,9 @@ class Proposer:
         assert inst.p2_value is not None
         inst.chosen = inst.p2_value
         inst.phase = "done"
+        commit = Commit(msg.v, inst.chosen)
         out: list[Effect] = [Note(ChosenEvent(self.name, msg.v, inst.chosen))]
-        out.extend(Send(r, Commit(msg.v, inst.chosen)) for r in self.replicas)
+        out.extend(Send(r, commit) for r in self.replicas)
         return out
 
     def _on_nack(self, msg: Nack, now: float) -> list[Effect]:

@@ -10,6 +10,11 @@ instantly (they model local clocks, not network work). Messages between
 roles fused onto one machine skip the network entirely but still cost
 service time there.
 
+A run that captures its wire trace encodes the body of each message object
+it sends once, when the first copy passes the loss and partition decision,
+and every delivery of it appends a record around that body to one buffer,
+which becomes SimResult.wire_trace without a copy.
+
 A run pauses the cyclic garbage collector, which is safe because a run
 builds no reference cycles (tests/test_harness.py checks it), so reference
 counting frees all it drops and the collector would only re-walk the live
@@ -18,6 +23,7 @@ commit graphs, history and dependency sets.
 
 from __future__ import annotations
 
+import io
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -155,16 +161,18 @@ class Simulation:
         self.received: dict[str, int] = {}
         self.history: list[Record] = []
         self.busy: dict[str, float] = {}
-        # events are (time, insertion seq, kind, node, a, b): a delivery to
-        # node carries (src, msg), a timer at node carries (key, None)
+        # events are (time, insertion seq, kind, node, a, b, body): a
+        # delivery to node carries (src, msg, the message's encoded body, or
+        # None when the run captures no trace), a timer at node carries
+        # (key, None, None)
         self.heap: list = [
-            (0.0, n, _TIMER, client.name, ("start",), None)
+            (0.0, n, _TIMER, client.name, ("start",), None, None)
             for n, client in enumerate(self.clients)
         ]
         self.seq = len(self.heap)
         self.now = 0.0
         self.panic: Optional[str] = None
-        self.wire_trace: list[bytes] = []
+        self.trace = io.BytesIO()  # the delivered records, if captured
 
         self.crashes: dict[str, float] = {}
         self.partitions: list[Partition] = []
@@ -232,7 +240,7 @@ class Simulation:
         partitioned = self._partitioned if self.partitions else None
         links: dict[tuple[str, str], tuple[bool, float, float]] = {}  # filled lazily
         # handlers are resolved here, not at construction, so wrappers
-        # installed on a role instance (or on the wire encoder) before run()
+        # installed on a role instance (or on the wire codec) before run()
         # are the ones called
         on_message = {node: role.on_message for node, role in self.roles.items()}
         on_timer = {node: role.on_timer for node, role in self.roles.items()}
@@ -240,7 +248,12 @@ class Simulation:
             node: 0.0 if node.startswith("client-") else config.service_cost_ms
             for node in self.roles
         }
-        encode = wire.encode_trace_record if config.capture_wire_trace else None
+        capture = config.capture_wire_trace
+        encode, write_record = wire.encode_message, wire.write_trace_record
+        trace_write = self.trace.write
+        # the last message encoded, so that its other sends reuse its body;
+        # last_body stays None in a run that captures nothing
+        last_msg = last_body = None
         # clients with work left; only a delivery to a client can finish it
         pending = {c.name: c for c in self.clients if not c.done}
         max_ms = config.max_sim_ms
@@ -248,7 +261,7 @@ class Simulation:
         end_ms = None  # when the last client was done
 
         while heap:
-            t, _n, kind, node, a, b = heappop(heap)
+            t, _n, kind, node, a, b, encoded = heappop(heap)
             if t > max_ms:
                 break
             now = t
@@ -257,8 +270,8 @@ class Simulation:
                 if crash_at is not None and t >= crash_at:
                     continue
             if kind == _DELIVER:
-                if encode is not None:
-                    self.wire_trace.append(encode(a, node, b))
+                if encoded is not None:
+                    write_record(trace_write, a, node, encoded)
                 machine = machine_of[node]
                 free = busy.get(machine, 0.0)
                 # sends and timers happen when service completes; history
@@ -284,28 +297,32 @@ class Simulation:
                     if link is None:
                         link = links[node, dst] = self._link(node, dst)
                     co_located, drop, dup = link
+                    # co-located roles exchange messages off the network
+                    if not co_located:
+                        if partitioned is not None and partitioned(node, dst, done):
+                            continue
+                        if drop > 0.0 and chance() < drop:
+                            continue
+                    msg = eff.msg
+                    if capture and msg is not last_msg:
+                        last_msg, last_body = msg, encode(msg)
                     if co_located:
-                        # co-located roles exchange messages off the network
-                        heappush(heap, (done, seq, _DELIVER, dst, node, eff.msg))
+                        heappush(heap, (done, seq, _DELIVER, dst, node, msg, last_body))
                         seq += 1
                         continue
-                    if partitioned is not None and partitioned(node, dst, done):
-                        continue
-                    if drop > 0.0 and chance() < drop:
-                        continue
                     delay = lo + spread * chance() if jitter else lo
-                    heappush(heap, (done + delay, seq, _DELIVER, dst, node, eff.msg))
+                    heappush(heap, (done + delay, seq, _DELIVER, dst, node, msg, last_body))
                     seq += 1
                     if dup > 0.0 and chance() < dup:
                         delay = lo + spread * chance() if jitter else lo
-                        heappush(heap, (done + delay, seq, _DELIVER, dst, node, eff.msg))
+                        heappush(heap, (done + delay, seq, _DELIVER, dst, node, msg, last_body))
                         seq += 1
                 elif effect is SetTimer:
                     # a timer past the cap would only end the run when
                     # popped, which the empty heap does as well
                     deadline = done + eff.delay_ms
                     if deadline <= max_ms:
-                        heappush(heap, (deadline, seq, _TIMER, node, eff.key, None))
+                        heappush(heap, (deadline, seq, _TIMER, node, eff.key, None, None))
                         seq += 1
                 elif effect is Note:
                     history.append((t, len(history), eff.event))
@@ -333,7 +350,7 @@ class Simulation:
             completed=all(c.done for c in self.clients),
             end_ms=now if end_ms is None else end_ms,
             panic=panic,
-            wire_trace=b"".join(self.wire_trace),
+            wire_trace=self.trace.getvalue(),
         )
 
 

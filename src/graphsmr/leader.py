@@ -114,8 +114,9 @@ class Leader:
         self.tail_resends = 0
         targets = self._initial_targets(v)
         self.pending[v] = _Pending(cmd)
+        request = DepRequest(v, cmd)
         out: list[Effect] = [Note(AssignEvent(self.name, v, cmd))]
-        out.extend(Send(d, DepRequest(v, cmd)) for d in targets)
+        out.extend(Send(d, request) for d in targets)
         out.append(SetTimer(self.retransmit_ms, ("dep-retx", v)))
         return out
 
@@ -156,10 +157,9 @@ class Leader:
             if pending is None:
                 return self._resend_tail(v)
             # widen to every node; with thrifty off this is a plain resend
+            request = DepRequest(v, pending.cmd)
             out: list[Effect] = [
-                Send(d, DepRequest(v, pending.cmd))
-                for d in self.dep_nodes
-                if d not in pending.replies
+                Send(d, request) for d in self.dep_nodes if d not in pending.replies
             ]
             out.append(SetTimer(self.retransmit_ms, ("dep-retx", v)))
             return out

@@ -25,7 +25,7 @@ from functools import partial
 from typing import Optional
 
 from .harness.cluster import ConfigError, build_cluster
-from .harness.history import Record
+from .harness.history import Record, gc_paused
 from .harness.sim import SimConfig, SimResult
 from .messages import Note, Send, SetTimer
 from .replica import ReplicaPanic
@@ -70,10 +70,13 @@ class SocketCluster:
     def now_ms(self) -> float:
         return (time.monotonic() - self._t0) * 1000.0
 
+    @gc_paused()
     def run(self) -> SimResult:
         """Simulation.run's contract on the wall clock from building the
         cluster: max_sim_ms caps the run, a replica panic ends it with its
-        evidence in the history, and end_ms is when the last client was done."""
+        evidence in the history, and end_ms is when the last client was done.
+        Like Simulation.run it pauses the cyclic garbage collector, as it
+        builds no reference cycle: no nested function refers to itself."""
         roles = self.roles
         deadline = self.config.max_sim_ms
         history: list[Record] = []
@@ -93,6 +96,9 @@ class SocketCluster:
 
         def apply(node: str, effects, now: float) -> None:
             nonlocal seq, end_ms
+            # a frame names only its source, so every Send of one message
+            # object from node carries the same frame
+            last_msg = frame = None
             for eff in effects:
                 if isinstance(eff, Send):
                     sent[node] = sent.get(node, 0) + 1
@@ -105,7 +111,9 @@ class SocketCluster:
                         conn.sock.connect_ex(("127.0.0.1", ports[eff.dst]))
                     if not conn.unsent:
                         written.append(link)
-                    conn.unsent += encode_frame(node, eff.msg)
+                    if eff.msg is not last_msg:
+                        last_msg, frame = eff.msg, encode_frame(node, eff.msg)
+                    conn.unsent += frame
                 elif isinstance(eff, SetTimer):
                     heapq.heappush(timers, (now + eff.delay_ms, seq, node, eff.key))
                     seq += 1
@@ -132,7 +140,9 @@ class SocketCluster:
                 del outbound[link]
                 return
             if conn.unsent and not writing:
-                sel.register(conn.sock, selectors.EVENT_WRITE, partial(flush, link))
+                # the loop flushes a writable link itself: a partial of flush
+                # made here would hold flush in a cycle through its own cell
+                sel.register(conn.sock, selectors.EVENT_WRITE, link)
             elif writing and not conn.unsent:
                 sel.unregister(conn.sock)
 
@@ -190,7 +200,10 @@ class SocketCluster:
                     break
                 wake = min(deadline, timers[0][0]) if timers else deadline
                 for key, _events in sel.select((wake - now) / 1000.0):
-                    key.data()
+                    if key.events == selectors.EVENT_WRITE:
+                        flush(key.data)
+                    else:
+                        key.data()
                     if panic is not None:
                         break
         finally:

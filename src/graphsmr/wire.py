@@ -5,6 +5,9 @@ Frames are length-prefixed: a big-endian u32 byte count, then the body;
 one tag byte; all integers are big-endian, byte strings are
 u32-length-prefixed, vertex ids use the canonical 8-byte encoding from core.
 The same schema serves the socket transport and simulator trace dumps.
+`write_trace_record` writes a trace record around a body from
+`encode_message`, so a caller encodes a message once for all the records
+that carry it.
 
 The format is written down once, as a table of codecs: a codec is a
 (write, read) pair, and each type's codec is built from the codecs of its
@@ -456,13 +459,6 @@ def _header(*names: str) -> bytes:
     return b"".join(out)
 
 
-def _encode_frame(header: bytes, msg: Message) -> bytes:
-    out = [b"", header]  # the length prefix, once the body is known
-    _write_message(out, msg)
-    out[0] = _U32.pack(sum(map(len, out)))
-    return b"".join(out)
-
-
 def _decode(body: bytes, header_names: int, ids: dict[int, VertexId]) -> tuple:
     r = _Reader(body, ids)
     out = (*[_read_text(r) for _ in range(header_names)], _read_message(r))
@@ -473,17 +469,31 @@ def _decode(body: bytes, header_names: int, ids: dict[int, VertexId]) -> tuple:
 
 def encode_frame(src: str, msg: Message) -> bytes:
     """[u32 total][u32 src-len][src][message] as sent on a socket."""
-    return _encode_frame(_header(src), msg)
+    out = [b"", _header(src)]  # the length prefix, once the body is known
+    _write_message(out, msg)
+    out[0] = _U32.pack(sum(map(len, out)))
+    return b"".join(out)
 
 
 def decode_frame(body: bytes) -> tuple[str, Message]:
     return _decode(body, 1, {})
 
 
+def write_trace_record(write: Callable[[bytes], Any], src: str, dst: str, body: bytes) -> None:
+    """Passes one simulator trace dump record to write, given the message's
+    body from encode_message: the socket frame schema with both endpoints
+    in the header, since there is no connection to imply dst. The body is
+    written as it is, so one encoding serves every record of a message."""
+    header = _header(src, dst)
+    write(_U32.pack(len(header) + len(body)) + header)
+    write(body)
+
+
 def encode_trace_record(src: str, dst: str, msg: Message) -> bytes:
-    """Simulator trace dump record: the socket frame schema with both
-    endpoints in the header, since there is no connection to imply dst."""
-    return _encode_frame(_header(src, dst), msg)
+    """The trace record of msg delivered from src to dst."""
+    out: list = []
+    write_trace_record(out.append, src, dst, encode_message(msg))
+    return b"".join(out)
 
 
 def split_frames(data: bytes) -> tuple[list[bytes], bytes]:

@@ -201,6 +201,37 @@ class TestProposer:
         assert commits and all(c.proposal == P2 for c in commits)
 
 
+class TestFanOut:
+    """Every Send of one fan-out carries one message object, so a transport
+    or a trace encodes it once."""
+
+    @staticmethod
+    def one_object(out, typ, count):
+        fan_out = [e for e in sends(out) if isinstance(e.msg, typ)]
+        return len(fan_out) == count and all(e.msg is fan_out[0].msg for e in fan_out)
+
+    def test_phase1a(self):
+        p = make_proposer(index=1)
+        assert self.one_object(p.propose(V, NOOP_PROPOSAL, 0.0), Phase1a, 3)
+
+    def test_phase2a(self):
+        p = make_proposer(index=0)
+        assert self.one_object(p.propose(V, P1, 0.0), Phase2a, 3)
+
+    def test_commit_after_the_value_is_chosen(self):
+        p = make_proposer(index=0)
+        p.propose(V, P1, 0.0)
+        p.on_message("a0", Phase2b(V, 0), 1.0)
+        assert self.one_object(p.on_message("a1", Phase2b(V, 0), 2.0), Commit, 2)
+
+    def test_commit_re_announced(self):
+        p = make_proposer(index=0)
+        p.propose(V, P1, 0.0)
+        p.on_message("a0", Phase2b(V, 0), 1.0)
+        p.on_message("a1", Phase2b(V, 0), 2.0)
+        assert self.one_object(p.propose(V, P1, 3.0), Commit, 2)
+
+
 class TestProposeGapRepair:
     """The designated proposer asks its leader for each seq that a later
     ProposeRequest revealed and that has not arrived within a timeout."""

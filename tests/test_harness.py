@@ -36,6 +36,7 @@ from graphsmr.harness.sim import Simulation
 from graphsmr.leader import AssignEvent
 from graphsmr.messages import ClientResponse, Send, SetTimer
 from graphsmr.replica import CommitSeen, ExecEvent, RespondEvent
+from graphsmr.sockets import SocketCluster
 
 
 def simple_workload(clients=2, commands=3):
@@ -915,9 +916,10 @@ def no_cycle_runs():
 
 
 class TestCollectorPause:
-    """Simulation.run and check_history pause the cyclic garbage collector
-    (history.gc_paused). That is safe only while neither builds a reference
-    cycle, so that reference counting alone frees all they drop."""
+    """Simulation.run, SocketCluster.run and check_history pause the cyclic
+    garbage collector (history.gc_paused). That is safe only while none of
+    them builds a reference cycle, so that reference counting alone frees
+    all they drop."""
 
     @pytest.fixture
     def freed(self):
@@ -951,6 +953,14 @@ class TestCollectorPause:
             violations += not verdict.ok
             del result, verdict
         assert panics and violations  # both kinds of run ending were covered
+        # a socket run: its loop, closures, selector and connections
+        gc.collect()
+        freed.clear()
+        result = SocketCluster(SimConfig(seed=1, max_sim_ms=20_000.0),
+                               random_workload(random.Random(1), 4, 20, 0.3)).run()
+        gc.collect()
+        assert sum(freed) == 0, "socket: the run left cyclic garbage"
+        assert result.completed and check_history(result.history).ok
 
     @pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
     def test_the_collectors_state_is_put_back(self, enabled, monkeypatch):

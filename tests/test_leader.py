@@ -131,6 +131,27 @@ def test_retransmit_widens_thrifty_targets():
     assert len(sends(effects, DepRequest)) == 3
 
 
+def one_object(fan_out):
+    """The Sends of one fan-out all carry one message object, so a
+    transport or a trace encodes it once."""
+    return len(fan_out) > 1 and all(e.msg is fan_out[0].msg for e in fan_out)
+
+
+def test_dep_requests_of_a_fan_out_are_one_object():
+    leader = make_leader()
+    assert one_object(sends(leader.on_message("client-0", ClientRequest(cmd(1)), 0.0)))
+
+
+def test_widened_dep_requests_are_one_object():
+    leader = make_leader(thrifty=True)
+    leader.on_message("client-0", ClientRequest(cmd(1)), 0.0)
+    v = VertexId(0, 0)
+    leader.on_message("dep-0", DepReply(v, cmd(1), ExactDeps(frozenset())), 1.0)
+    widened = sends(leader.on_timer(("dep-retx", v), 60.0), DepRequest)
+    assert [e.dst for e in widened] == ["dep-1", "dep-2"]
+    assert one_object(widened)
+
+
 def test_batch_emitted_at_size_trigger():
     leader = make_leader(batch_size=2)
     c1, c2 = Command("c", 1, Get(b"a")), Command("c", 2, Set(b"b", b"1"))

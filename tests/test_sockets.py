@@ -127,6 +127,26 @@ def test_every_connection_is_closed_when_run_returns():
     assert open_fds() == before
 
 
+def test_a_fan_out_is_framed_once(monkeypatch):
+    """A frame names only its source, so the Sends of one message object
+    share one encoded frame."""
+    import graphsmr.sockets as sockets
+
+    framed = []
+    encode = sockets.encode_frame
+
+    def counting(src, msg):
+        framed.append(msg)
+        return encode(src, msg)
+
+    monkeypatch.setattr(sockets, "encode_frame", counting)
+    config = SimConfig(seed=0, max_sim_ms=20_000)
+    run = SocketCluster(config, random_workload(random.Random(2), 2, 5, 0.5)).run()
+    assert run.completed
+    assert check_history(run.history).ok
+    assert 0 < len(framed) < sum(run.sent.values())
+
+
 def test_run_starts_no_thread():
     workload = [[Set(b"k", b"1"), Get(b"k")], [Set(b"j", b"2")]]
     cluster = SocketCluster(SimConfig(seed=0, max_sim_ms=20_000), workload)

@@ -45,6 +45,7 @@ from graphsmr.wire import (
     encode_message,
     encode_trace_record,
     split_frames,
+    write_trace_record,
 )
 
 vertex_ids = st.builds(VertexId, st.integers(0, 10), st.integers(0, 1000))
@@ -450,6 +451,9 @@ def test_trace_record_is_header_then_message(src, dst, msg):
     expected = len(body).to_bytes(4, "big") + body
     # the second call reuses the memoised header
     assert encode_trace_record(src, dst, msg) == encode_trace_record(src, dst, msg) == expected
+    written: list = []
+    write_trace_record(written.append, src, dst, encode_message(msg))
+    assert b"".join(written) == expected
 
 
 def _distinct_commit(seq: int) -> bytes:
@@ -530,6 +534,82 @@ class TestSimulatorTraceDump:
         records = decode_trace(result.wire_trace)
         assert max(len(m.proposal.deps) for _s, _d, m in records if isinstance(m, Commit)) > 1
         assert b"".join(encode_trace_record(*record) for record in records) == result.wire_trace
+
+    @pytest.mark.parametrize("path", ["dup", "drop", "crash", "partition", "coupled"])
+    def test_trace_is_every_delivery_on_each_send_path(self, path):
+        """A body is encoded once per message object and shared by its
+        duplicates and its other destinations, yet the trace is exactly the
+        records of the deliveries: it decodes to the messages the roles
+        received, in order, re-encodes record by record to the same bytes
+        and names each destination as often as it received."""
+        from collections import Counter
+
+        from fuzz_helpers import random_workload
+        from graphsmr.harness import NO_TIMEOUTS, Crash, LinkFault, Partition, SimConfig
+        from graphsmr.harness.sim import Simulation
+
+        config = SimConfig(seed=6, capture_wire_trace=True, max_delay_ms=3.0)
+        faults: list = []
+        if path == "dup":  # no timer fires, so only duplicates add deliveries
+            config.timeouts = NO_TIMEOUTS
+            faults = [LinkFault("*", "*", dup=0.3)]
+        elif path == "drop":
+            faults = [LinkFault("leader-0", "dep-0", drop=1.0), LinkFault("*", "*", drop=0.1)]
+        elif path == "crash":  # its peers keep sending to the crashed acceptor
+            faults = [Crash("acc-0", 10.0)]
+        elif path == "partition":
+            faults = [Partition(frozenset({"leader-0", "prop-0"}), 5.0, 60.0)]
+        else:
+            config.coupled, config.leaders, config.replicas = True, 3, 3
+        sim = Simulation(config, random_workload(random.Random(6), 3, 6, 0.5), faults)
+        delivered = []
+        for node, role in sim.roles.items():
+            def observed(src, msg, now, node=node, handler=role.on_message):
+                delivered.append((src, node, msg))
+                return handler(src, msg, now)
+
+            role.on_message = observed
+        result = sim.run()
+        assert result.completed
+        records = decode_trace(result.wire_trace)
+        assert records == delivered
+        assert b"".join(encode_trace_record(*record) for record in records) == result.wire_trace
+        assert Counter(dst for _src, dst, _msg in records) == Counter(result.received)
+        sent, received = sum(result.sent.values()), sum(result.received.values())
+        if path == "dup":
+            assert received > sent
+        elif path == "drop":
+            assert ("leader-0", "dep-0") not in {(src, dst) for src, dst, _msg in records}
+        elif path == "crash":
+            assert 0 < result.received["acc-0"] < result.received["acc-1"]
+
+    def test_capture_holds_about_one_copy_of_the_trace(self):
+        """Capturing a faults-shaped run raises its traced memory peak by
+        at most 1.5 times the trace: the one buffer, plus the codec's memo
+        of packed dependency sets, and no second copy of the records."""
+        import tracemalloc
+
+        from graphsmr.bench import BenchConfig, generate_workload, sim_config_for
+        from graphsmr.harness import Crash, LinkFault
+        from graphsmr.harness.sim import Simulation
+
+        def peak_and_trace(capture: bool) -> tuple[int, int]:
+            bench = BenchConfig(clients=4, commands_per_client=40, conflict_rate=0.5,
+                                max_delay_ms=3.0, capture_wire_trace=capture, seed=3)
+            sim = Simulation(sim_config_for(bench), generate_workload(bench),
+                             [LinkFault("*", "*", drop=0.05, dup=0.05), Crash("leader-1", 20.0)])
+            tracemalloc.start()
+            try:
+                result = sim.run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            return peak, len(result.wire_trace)
+
+        without, _ = peak_and_trace(False)
+        with_capture, trace = peak_and_trace(True)
+        assert trace > 0
+        assert with_capture - without <= 1.5 * trace
 
     def test_cli_dump_trace(self, tmp_path):
         from graphsmr.cli import main
