@@ -18,7 +18,7 @@ from typing import Iterable, Iterator, Optional
 
 from ..consensus import ChosenEvent
 from ..core import ExactDeps, Get, Proposal, VertexId, key_access
-from ..replica import CommitSeen, ExecEvent, RespondEvent
+from ..replica import SET_ACK, CommitSeen, ExecEvent, RespondEvent
 
 Record = tuple[float, int, object]
 
@@ -197,10 +197,11 @@ def _order_inversion(
 @gc_paused()
 def check_history(records: list[Record]) -> Verdict:
     """Verify per-vertex agreement, the dependency invariant, cross-replica
-    agreement on conflicting execution order and on replayed state,
-    exactly-once per (client, seq), and response/execution consistency.
-    The cyclic garbage collector is paused meanwhile, which is safe because a
-    check builds no reference cycles (tests/test_harness.py checks it)."""
+    agreement on conflicting execution order and on replayed state, each
+    applied output against its replica's sequential replay, exactly-once
+    per (client, seq), and response/execution consistency. The cyclic
+    garbage collector is paused meanwhile, which is safe because a check
+    builds no reference cycles (tests/test_harness.py checks it)."""
     violations: list[Violation] = []
 
     commit_records: dict[VertexId, list[Record]] = {}
@@ -281,25 +282,35 @@ def check_history(records: list[Record]) -> Verdict:
                 )
             )
 
-    # (b') replicas that executed the same vertex set must replay to the
-    # same kv state
-    by_vertex_set: dict[frozenset, list[str]] = {}
+    # (b') replay each replica's executions once, in position order: an
+    # applied Get must output the value its replica's replay holds, and an
+    # applied Set SET_ACK. Replicas that executed the same vertex set must
+    # end in the same replayed state
+    by_vertex_set: dict[frozenset, dict[str, tuple]] = {}
     for replica, recs in execs.items():
+        kv: dict[bytes, bytes] = {}
+        for rec in sorted(recs, key=lambda r: r[2].position):
+            ev = rec[2]
+            if not ev.applied or ev.op is None:
+                continue
+            if isinstance(ev.op, Get):
+                expected = kv.get(ev.op.key)
+            else:
+                kv[ev.op.key] = ev.op.value
+                expected = SET_ACK
+            if ev.output != expected:
+                violations.append(
+                    Violation(
+                        "replay-output-mismatch",
+                        f"{replica} applied {ev.client}/{ev.client_seq} with output "
+                        f"{ev.output!r}, but its replay gives {expected!r}",
+                        [rec],
+                    )
+                )
         vs = frozenset(rec[2].v for rec in recs)
-        by_vertex_set.setdefault(vs, []).append(replica)
-    for vs, replicas in by_vertex_set.items():
-        if len(replicas) < 2:
-            continue
-        states = {}
-        for replica in replicas:
-            kv: dict[bytes, bytes] = {}
-            for rec in sorted(execs[replica], key=lambda r: r[2].position):
-                ev = rec[2]
-                if ev.applied and ev.op is not None and not isinstance(ev.op, Get):
-                    kv[ev.op.key] = ev.op.value
-            states[replica] = tuple(sorted(kv.items()))
-        unique = set(states.values())
-        if len(unique) > 1:
+        by_vertex_set.setdefault(vs, {})[replica] = tuple(sorted(kv.items()))
+    for states in by_vertex_set.values():
+        if len(set(states.values())) > 1:
             r1, r2 = sorted(states)[:2]
             violations.append(
                 Violation(

@@ -8,7 +8,8 @@ Load model: delivering a message occupies the destination machine for
 service_cost_ms, so a busy machine queues work behind itself. Timers fire
 instantly (they model local clocks, not network work). Messages between
 roles fused onto one machine skip the network entirely but still cost
-service time there.
+service time there. The socket transport (sockets.py) runs this same loop
+on the wall clock, with loopback TCP in place of the modelled links.
 
 A run that captures its wire trace encodes the body of each message object
 it sends once, when the first copy passes the loss and partition decision,
@@ -48,12 +49,6 @@ class Timeouts:
 
 # timers that fire after any run's cap, so in effect never
 NO_TIMEOUTS = Timeouts(1e9, 1e9, 1e9)
-
-
-def check_probabilities(drop: Optional[float], dup: Optional[float]) -> None:
-    """None stands for a probability left unset."""
-    if not all(p is None or 0.0 <= p <= 1.0 for p in (drop, dup)):
-        raise ConfigError("probabilities must lie in [0, 1]")
 
 
 @dataclass
@@ -194,7 +189,9 @@ class Simulation:
             elif isinstance(fault, LinkFault):
                 if fault.drop is None and fault.dup is None:
                     raise ConfigError(f"link fault sets no probability: {fault!r}")
-                check_probabilities(fault.drop, fault.dup)
+                # None stands for a probability left unset
+                if not all(p is None or 0.0 <= p <= 1.0 for p in (fault.drop, fault.dup)):
+                    raise ConfigError("probabilities must lie in [0, 1]")
                 named = {fault.src, fault.dst} - {"*"}
                 self.link_faults.append(fault)
             else:
@@ -223,11 +220,19 @@ class Simulation:
 
     # -- main loop ---------------------------------------------------------
 
-    @gc_paused()
     def run(self, settle_ms: float = 0.0) -> SimResult:
         """Deliver events until every client is done, then for settle_ms
         more of simulated time, so repairs that no client waits for can
         finish. end_ms is the time the last client was done either way."""
+        return self._run(settle_ms, None)
+
+    @gc_paused()
+    def _run(self, settle_ms: float, net) -> SimResult:
+        """The run loop of both transports. With net None, time is simulated
+        and the loop models the links. Otherwise net is a network of real
+        links (sockets._Loopback): the loop hands it every Send and, when no
+        event is due on its wall clock, flushes it and waits on it for
+        deliveries, and each handler runs at the wall time it is called."""
         config = self.config
         heap, busy, history = self.heap, self.busy, self.history
         sent, received, crashes = self.sent, self.received, self.crashes
@@ -260,8 +265,22 @@ class Simulation:
         seq, now, panic = self.seq, self.now, None
         end_ms = None  # when the last client was done
 
-        while heap:
-            t, _n, kind, node, a, b, encoded = heappop(heap)
+        while heap or net is not None:
+            if net is None:
+                t, _n, kind, node, a, b, encoded = heappop(heap)
+            else:
+                t = net.now_ms()
+                if not heap or heap[0][0] > t:
+                    # nothing is due: send what the handlers queued, then
+                    # wait for frames until the next event or the cap
+                    if t >= max_ms:
+                        break
+                    net.flush()
+                    for src, dst, msg in net.poll((heap[0][0] if heap else max_ms) - t):
+                        heappush(heap, (t, seq, _DELIVER, dst, src, msg, None))
+                        seq += 1
+                    continue
+                _due, _n, kind, node, a, b, encoded = heappop(heap)
             if t > max_ms:
                 break
             now = t
@@ -293,6 +312,9 @@ class Simulation:
                 if effect is Send:
                     sent[node] = sent.get(node, 0) + 1
                     dst = eff.dst
+                    if net is not None:
+                        net.send(node, dst, eff.msg)
+                        continue
                     link = links.get((node, dst))
                     if link is None:
                         link = links[node, dst] = self._link(node, dst)

@@ -28,7 +28,6 @@ import dataclasses
 import functools
 import operator
 import struct
-import threading
 import weakref
 from array import array
 from bisect import bisect_left
@@ -294,12 +293,10 @@ def _optional(codec: _Codec) -> _Codec:
 # also keeps a ring of weak references to the last sets it packed, and packs
 # a new set by inserting what it adds into the bytes of the largest of them
 # it contains. The bytes are a function of the set alone, so which earlier
-# set was used, if any, cannot change them. Any thread of the caller may
-# encode, so the ring is read and written under a lock.
+# set was used, if any, cannot change them.
 _exact_deps_bytes: "weakref.WeakKeyDictionary[ExactDeps, bytes]" = weakref.WeakKeyDictionary()
 _exact_deps_read: "weakref.WeakValueDictionary[bytes, ExactDeps]" = weakref.WeakValueDictionary()
 _recent: "deque[weakref.ref[ExactDeps]]" = deque(maxlen=16)
-_recent_lock = threading.Lock()
 
 
 def _sort_from_scratch(vertices: frozenset[VertexId]) -> bytes:
@@ -319,16 +316,14 @@ def _sort_from_scratch(vertices: frozenset[VertexId]) -> bytes:
 def _nearest_packed_subset(vertices: frozenset[VertexId]) -> Optional[tuple[ExactDeps, bytes]]:
     """The largest recently packed set that is a subset of vertices and at
     least half its size, with its bytes; or None."""
-    with _recent_lock:
-        recent = list(_recent)
     n = len(vertices)
     best, best_len = None, (n - 1) // 2  # so a parent holds at least half
-    for ref in reversed(recent):  # newest first, so mostly the largest first
+    for ref in reversed(_recent):  # newest first, so mostly the largest first
         parent = ref()
         if parent is not None and best_len < len(parent.vertices) <= n and parent.vertices <= vertices:
             best, best_len = parent, len(parent.vertices)
-    # a live set's entry can be gone: two threads that pack equal sets share
-    # one entry, which goes with the first of them to be freed
+    # a live set's entry can be gone: a set packed while an equal one holds
+    # the entry shares it, and it goes when that equal set is freed
     data = None if best is None else _exact_deps_bytes.get(best)
     return None if data is None else (best, data)
 
@@ -371,8 +366,7 @@ def _encode_exact_deps(deps: ExactDeps) -> bytes:
         parent, parent_data = nearest
         data = _insert_sorted(parent_data, vertices - parent.vertices)
     _exact_deps_bytes[deps] = data
-    with _recent_lock:
-        _recent.append(weakref.ref(deps))
+    _recent.append(weakref.ref(deps))
     return data
 
 

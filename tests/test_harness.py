@@ -35,7 +35,7 @@ from graphsmr.harness.history import Invoke, Reply
 from graphsmr.harness.sim import Simulation
 from graphsmr.leader import AssignEvent
 from graphsmr.messages import ClientResponse, Send, SetTimer
-from graphsmr.replica import CommitSeen, ExecEvent, RespondEvent
+from graphsmr.replica import CommitSeen, ExecEvent, Replica, RespondEvent
 from graphsmr.sockets import SocketCluster
 
 
@@ -166,9 +166,16 @@ class TestEventLoop:
         assert res.completed
         assert sim.heap == []
 
-    def test_run_ends_at_the_last_reply(self):
-        config, workload, faults = pinned_runs()["lossy-leader-crash"]
-        res = run_simulation(config, workload, faults)
+    @pytest.mark.parametrize("transport", ["sim", "socket"])
+    def test_run_ends_at_the_last_reply(self, transport):
+        """Throughput counts the run, not the settling or the shutdown: on
+        either transport the end is the last reply, on the clock the
+        handlers saw. Closing the sockets does not count."""
+        if transport == "sim":
+            res = run_simulation(*pinned_runs()["lossy-leader-crash"])
+        else:
+            workload = [[Set(b"k", b"1"), Get(b"k")], [Set(b"j", b"2")]]
+            res = SocketCluster(SimConfig(seed=0, max_sim_ms=20_000), workload).run()
         assert res.completed
         assert res.end_ms == max(done for c in res.clients for _sent, done in c.reply_times)
 
@@ -550,6 +557,19 @@ class TestCheckerOnSyntheticHistories:
         verdict = check_history(records)
         assert any(v.kind == "replayed-state-divergence" for v in verdict.violations)
 
+    def test_replay_output_mismatch(self):
+        """One replica's own replay judges each output it recorded: the
+        Get after Set a=1 must read b"1", and a Set must answer SET_ACK."""
+        set_a, get_a = Set(b"a", b"1"), Get(b"a")
+        records = [
+            self._rec(0, ExecEvent("rep-0", self.V1, "ca", 1, set_a, True, b"OK", 0)),
+            self._rec(1, ExecEvent("rep-0", self.V2, "cb", 1, get_a, True, None, 1)),
+            self._rec(2, ExecEvent("rep-0", VertexId(0, 1), "cc", 1, set_a, True, None, 2)),
+        ]
+        verdict = check_history(records)
+        assert [v.kind for v in verdict.violations] == ["replay-output-mismatch"] * 2
+        assert [v.events for v in verdict.violations] == [records[1:2], records[2:3]]
+
 
 KEYS = (b"a", b"b", b"c")
 
@@ -677,6 +697,35 @@ class TestMutationDetection:
             if not check_history(res.history).ok:
                 return
         pytest.fail(f"{name} not caught within 40 seeds")
+
+    def test_stale_gets_are_caught_by_the_replay(self, monkeypatch):
+        """Replicas that answer every Get with b"stale" agree with each
+        other on order, state and outputs, so only replaying each replica's
+        own executions shows that no Get read the value written before it."""
+        apply = Replica.apply_command
+
+        def stale(self, cmd):
+            output = apply(self, cmd)
+            return b"stale" if isinstance(cmd.op, Get) else output
+
+        monkeypatch.setattr(Replica, "apply_command", stale)
+        workload = [
+            [Set(b"k", b"%d/%d" % (c, i)) if i % 2 == 0 else Get(b"k") for i in range(20)]
+            for c in range(3)
+        ]
+        res = run_simulation(SimConfig(seed=1), workload)
+        assert res.completed
+        events = [ev for _t, _n, ev in res.history]
+        assert sum(isinstance(ev, Reply) and ev.output == b"stale" for ev in events) == 30
+        applied_gets = [
+            ev for ev in events
+            if isinstance(ev, ExecEvent) and ev.applied and isinstance(ev.op, Get)
+        ]
+        verdict = check_history(res.history)
+        assert {v.kind for v in verdict.violations} == {"replay-output-mismatch"}
+        assert [v.events[0][2] for v in verdict.violations] == sorted(
+            applied_gets, key=lambda ev: ev.replica
+        )
 
     def test_unmutated_protocol_clean_under_same_configs(self):
         from graphsmr.harness.mutations import NO_MUTATIONS
@@ -953,7 +1002,7 @@ class TestCollectorPause:
             violations += not verdict.ok
             del result, verdict
         assert panics and violations  # both kinds of run ending were covered
-        # a socket run: its loop, closures, selector and connections
+        # a socket run: the same loop, its network, selector and connections
         gc.collect()
         freed.clear()
         result = SocketCluster(SimConfig(seed=1, max_sim_ms=20_000.0),

@@ -109,14 +109,14 @@ def test_a_socket_bench_with_link_delays_is_rejected():
                               min_delay_ms=50.0, max_delay_ms=50.0))
 
 
-def test_end_ms_is_stamped_when_the_clients_are_done():
-    """Throughput counts the run, not the shutdown: the end is the last
-    reply, on the same clock. Closing the sockets does not count."""
-    workload = [[Set(b"k", b"1"), Get(b"k")], [Set(b"j", b"2")]]
-    run = SocketCluster(SimConfig(seed=0, max_sim_ms=20_000), workload).run()
-    assert run.completed
-    last_reply = max(done for c in run.clients for _sent, done in c.reply_times)
-    assert run.end_ms == last_reply
+def test_no_timer_past_the_cap_is_queued():
+    """The simulator's cap rule holds on sockets, which run its loop: with
+    timeouts of 1e9 ms no timer can fire before the 20 s cap, so none is
+    queued, and nothing left queued lies past the cap."""
+    cluster = SocketCluster(SimConfig(seed=3, timeouts=NO_TIMEOUTS, max_sim_ms=20_000),
+                            random_workload(random.Random(3), 4, 10, 0.3))
+    assert cluster.run().completed
+    assert all(event[0] <= 20_000 for event in cluster.heap)
 
 
 def test_every_connection_is_closed_when_run_returns():

@@ -1,8 +1,6 @@
 import gc
 import random
 import struct
-import sys
-import threading
 import typing
 import weakref
 
@@ -412,36 +410,6 @@ def test_a_growing_set_is_sorted_from_scratch_once(monkeypatch):
         packed.append(ExactDeps(vertices))
         assert wire._encode_exact_deps(packed[-1]) == _reference_exact_deps(packed[-1])
     assert sorted_sizes == [41]
-
-
-def test_concurrent_encodes_match_the_plain_sort():
-    """Socket node threads encode at once and share the ring: threads pack
-    interleaved sizes of one growing set, so a parent is often another
-    thread's set, and each set is freed once packed."""
-    seqs = random.Random(0).sample(range(600_000, 600_300), 300)
-    base = [VertexId(i % 4, seq) for i, seq in enumerate(seqs)]  # each lands anywhere
-    errors: list[BaseException] = []
-
-    def pack(first: int) -> None:
-        try:
-            for n in range(first, len(base), 4):
-                deps = ExactDeps(frozenset(base[:n]))
-                assert wire._encode_exact_deps(deps) == _reference_exact_deps(deps)
-        except BaseException as exc:
-            errors.append(exc)
-
-    threads = [threading.Thread(target=pack, args=(k,)) for k in range(4)]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in threads)
-    assert errors == []
 
 
 @given(st.text(max_size=8), st.text(max_size=8), messages)
