@@ -133,9 +133,17 @@ def key_access(x: Payload) -> dict[bytes, bool]:
 
 @dataclass(frozen=True)
 class ExactDeps:
-    """Dependency set as an explicit set of vertex ids."""
+    """Dependency set as an explicit set of vertex ids.
+
+    Its repr lists the vertices in VertexId order, (seq, leader), as the
+    wire format does, so history text and violation evidence depend on the
+    set's content, not on how its hash table was built."""
 
     vertices: frozenset[VertexId]
+
+    def __repr__(self) -> str:
+        inner = ", ".join(map(repr, sorted(self.vertices, key=VertexId.sort_key)))
+        return f"ExactDeps(vertices=frozenset({{{inner}}}))" if inner else "ExactDeps(vertices=frozenset())"
 
     def __contains__(self, v: VertexId) -> bool:
         return v in self.vertices

@@ -87,12 +87,12 @@ def pinned_runs():
 
 # run_fingerprint digests of pinned_runs()
 PINNED_FINGERPRINTS = {
-    "lossy-leader-crash": "e2bf38dce67745a15dea674ccab3529f14e27b3bb9dff3dd771aa11d5680de38",
+    "lossy-leader-crash": "798b8a46d9094d0a3e30a9cfc87af211e2672d91b0d70f42d65623deb1e1c854",
     "compact-batch4-thrifty": "3ca31877cbb8305b114268cf06ce3b82b9d97988cd14f568fa2139e2e6651029",
-    "healing-partition": "90ae29dddafadd8e54b5755e9466c9508b081f37a85f6c48069c235e4a864a4c",
-    "dead-link": "0f7f8af245629811f5c38f0d4a748ae307c2cc4dff42c6a19fa0add5c6720806",
-    "coupled": "e1f04ae6d42c2edced48309b7ede9d8682aa7e4fcfe2ce0fc7ac985616d9ad62",
-    "wire-trace": "4490b9e1e81b9132c6c11bf3ecb2cfe692dc66482cdf2205ce157a595430bbf3",
+    "healing-partition": "ccf0091c7038eff6a21cb85a26f091a77edc35be947278a1e0f35585b4843c97",
+    "dead-link": "b72cca6e002ccd91a3b2891ba41b6c3c41a29100f1a54653810409bfcb76587a",
+    "coupled": "924e2bb98304430b62d520a63340d2ac98fd0c84ec3f4672875493fbadf1ecc2",
+    "wire-trace": "5b6334b87bf3b804415443bd7a864e7c607c5fb4edc63493a1bc918f803adbb2",
 }
 
 
@@ -671,10 +671,10 @@ def test_checker_agrees_with_pairwise_oracle(records):
 # proposals began to be repaired; in dep-quorum-one, which loses none, a
 # leader idles for 50 ms and resends its latest proposal.
 MUTATION_FINGERPRINTS = {
-    "dep-quorum-one": "eac567248866006211217957ade6a8eb2b356125ff40dabb089f89e45eb3382d",
-    "acceptor-ignores-promises": "ba581b59eac9b3b713c95c6ebdf4ff5b83192d76d03f9d49e37abab1891e3f99",
-    "replica-skip-scc": "3c53905391c4539e606e2feaed60ad2bd7d24284c24fba7f11e2507e7ecfb272",
-    "client-table-largest-only": "3c73b6d897473986fbe61fa66237ae04dfcbb7a511f64755fb2d9bc7da28916c",
+    "dep-quorum-one": "61b8b71c939775db6e3cb188118d860842b147f1f46c51bd50225703bf9245af",
+    "acceptor-ignores-promises": "f72160088a5c981ea6c8255fa37fb77e574eb82a2f9f7fe106a9112063ede967",
+    "replica-skip-scc": "4f4b2e61e22d4d2d8d1593116c6e5ca441a6b470aef7290e029437791f587207",
+    "client-table-largest-only": "6b68ced60adcf09acb09b0430eda3a53dcebb69a55539ce3a20d2a9e988ff8f5",
 }
 
 
