@@ -142,8 +142,9 @@ class ExactDeps:
     vertices: frozenset[VertexId]
 
     def __repr__(self) -> str:
-        inner = ", ".join(map(repr, sorted(self.vertices, key=VertexId.sort_key)))
-        return f"ExactDeps(vertices=frozenset({{{inner}}}))" if inner else "ExactDeps(vertices=frozenset())"
+        vertices = sorted(self.vertices, key=VertexId.sort_key)
+        inner = "{" + ", ".join(map(repr, vertices)) + "}" if vertices else ""
+        return f"ExactDeps(vertices=frozenset({inner}))"
 
     def __contains__(self, v: VertexId) -> bool:
         return v in self.vertices
@@ -157,7 +158,10 @@ class ExactDeps:
     def union(self, other: "Deps") -> "ExactDeps":
         if not isinstance(other, ExactDeps):
             raise TypeError("cannot union exact deps with compact deps")
-        return ExactDeps(self.vertices | other.vertices)
+        # a union of two sets sizes its table for both operands; adding only
+        # what other lacks sizes it for the result
+        extra = other.vertices - self.vertices
+        return ExactDeps(self.vertices | extra) if extra else self
 
 
 @dataclass(frozen=True)

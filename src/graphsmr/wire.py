@@ -287,16 +287,19 @@ def _optional(codec: _Codec) -> _Codec:
 # messages, so each distinct set is packed once and unpacked once. A value is
 # a pure function of its key, so every caller may share the memos, and both
 # are weak: the encoder's keys and the decoder's values are the sets, so an
-# entry goes once no message, proposal or history record holds its set.
+# entry goes once no message, proposal, history record or the ring below
+# holds its set.
 #
 # A new set is mostly an earlier set plus a vertex or two, so the encoder
-# also keeps a ring of weak references to the last sets it packed, and packs
-# a new set by inserting what it adds into the bytes of the largest of them
-# it contains. The bytes are a function of the set alone, so which earlier
-# set was used, if any, cannot change them.
+# also keeps a ring of the last 16 sets it packed, with their bytes, and
+# packs a new set by inserting what it adds into the bytes of the largest of
+# them it contains. The ring holds its sets strongly, since the sets a new
+# one grows from are often freed by then; 16 sets and their bytes bound it.
+# The bytes are a function of the set alone, so which earlier set was used,
+# if any, cannot change them.
 _exact_deps_bytes: "weakref.WeakKeyDictionary[ExactDeps, bytes]" = weakref.WeakKeyDictionary()
 _exact_deps_read: "weakref.WeakValueDictionary[bytes, ExactDeps]" = weakref.WeakValueDictionary()
-_recent: "deque[weakref.ref[ExactDeps]]" = deque(maxlen=16)
+_recent: "deque[tuple[ExactDeps, bytes]]" = deque(maxlen=16)
 
 
 def _sort_from_scratch(vertices: frozenset[VertexId]) -> bytes:
@@ -313,19 +316,16 @@ def _sort_from_scratch(vertices: frozenset[VertexId]) -> bytes:
     return _U32.pack(n) + pairs.tobytes()
 
 
-def _nearest_packed_subset(vertices: frozenset[VertexId]) -> Optional[tuple[ExactDeps, bytes]]:
+def _nearest_packed_subset(vertices: frozenset[VertexId]) -> Optional[tuple[frozenset[VertexId], bytes]]:
     """The largest recently packed set that is a subset of vertices and at
     least half its size, with its bytes; or None."""
     n = len(vertices)
     best, best_len = None, (n - 1) // 2  # so a parent holds at least half
-    for ref in reversed(_recent):  # newest first, so mostly the largest first
-        parent = ref()
-        if parent is not None and best_len < len(parent.vertices) <= n and parent.vertices <= vertices:
-            best, best_len = parent, len(parent.vertices)
-    # a live set's entry can be gone: a set packed while an equal one holds
-    # the entry shares it, and it goes when that equal set is freed
-    data = None if best is None else _exact_deps_bytes.get(best)
-    return None if data is None else (best, data)
+    for parent, data in reversed(_recent):  # newest first, so mostly the largest first
+        packed = parent.vertices
+        if best_len < len(packed) <= n and packed <= vertices:
+            best, best_len = (packed, data), len(packed)
+    return best
 
 
 def _insert_sorted(data: bytes, vertices: Iterable[VertexId]) -> bytes:
@@ -364,9 +364,9 @@ def _encode_exact_deps(deps: ExactDeps) -> bytes:
         data = _sort_from_scratch(vertices)
     else:
         parent, parent_data = nearest
-        data = _insert_sorted(parent_data, vertices - parent.vertices)
+        data = _insert_sorted(parent_data, vertices - parent)
     _exact_deps_bytes[deps] = data
-    _recent.append(weakref.ref(deps))
+    _recent.append((deps, data))
     return data
 
 

@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 
 from fuzz_helpers import conflicts
 from graphsmr.core import (
+    Batch,
     Command,
     CompactDeps,
     ExactDeps,
@@ -51,13 +52,43 @@ def test_empty_state_returns_empty_deps():
     assert deps.expand() == frozenset()
 
 
-def test_duplicate_request_returns_cached_reply():
-    node = DepServiceNode("d0", num_leaders=2)
-    v0, v1 = VertexId(0, 0), VertexId(1, 0)
-    first = node.handle_dep_request(v0, Command("c", 1, Set(b"k", b"v")))
-    node.handle_dep_request(v1, Command("c", 2, Set(b"k", b"v")))
-    again = node.handle_dep_request(v0, Command("c", 1, Set(b"k", b"v")))
-    assert again == first == ExactDeps(frozenset())
+# streams of single commands and batches over three keys, each touching
+# 1-3 keys; after each, maybe re-deliver the request of an earlier vertex
+key_ops = st.builds(
+    lambda key, write: Set(key, b"v") if write else Get(key),
+    st.sampled_from([b"a", b"b", b"c"]),
+    st.booleans(),
+)
+deliveries = st.lists(
+    st.tuples(
+        st.integers(0, 2),
+        st.lists(key_ops, min_size=1, max_size=3),
+        st.one_of(st.none(), st.integers(0, 1000)),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+@given(deliveries)
+def test_duplicate_request_returns_cached_reply(stream):
+    """A re-delivered request gets its vertex's first reply, however many
+    vertices the node stored since, in both modes."""
+    for compact in (False, True):
+        node = DepServiceNode("d0", num_leaders=3, compact=compact)
+        sent, first = [], {}
+        for i, (leader, ops, again) in enumerate(stream):
+            commands = tuple(Command(f"c{leader}", i + 1, op) for op in ops)
+            cmd = commands[0] if len(commands) == 1 else Batch(commands)
+            v = VertexId(leader, i)
+            first[v] = node.handle_dep_request(v, cmd)
+            sent.append((v, cmd))
+            if again is not None:
+                u, earlier = sent[again % len(sent)]
+                assert node.handle_dep_request(u, earlier) == first[u]
+        for v, cmd in sent:
+            assert node.handle_dep_request(v, cmd) == first[v]
+        assert node.reply_cache.keys() == first.keys()
 
 
 def test_read_depends_only_on_writes():

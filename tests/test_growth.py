@@ -180,6 +180,29 @@ def test_exact_checker_probes_do_not_grow_with_history():
     assert large <= 1.5 * small
 
 
+def count_reply_entries(commands):
+    """Entries the dependency nodes keep in their reply caches per answered
+    vertex, on one exact-deps all-conflict run: a cached set counts its
+    vertices, a record of the rows an answer read counts its rows."""
+    sim_config, workload = all_conflict(commands, compact_deps=False)
+    result = run_simulation(sim_config, workload)
+    assert result.completed
+    nodes = [r for r in result.roles.values() if isinstance(r, DepServiceNode)]
+    assert len(nodes) == 2 * sim_config.f + 1
+    records = [record for node in nodes for record in node.reply_cache.values()]
+    assert not any(isinstance(record, ExactDeps) for record in records)
+    return sum(map(len, records)) / len(records)
+
+
+def test_exact_reply_cache_does_not_grow_with_history():
+    """A dependency node answers a re-delivered request from the length of
+    each index row the first answer read, not from a copy of the set, so
+    its reply state per answered vertex is O(keys), however long the
+    history."""
+    small, large = map(count_reply_entries, (200, 800))
+    assert large <= 1.5 * small
+
+
 def count_executed_state_probes(commands):
     """Probes of every replica's executed-id state, its `low` watermarks and
     its `sparse` ids, per exact-deps add, on one exact-deps all-conflict run."""

@@ -339,27 +339,35 @@ def test_exact_deps_truncated_list_rejected():
         decode_message(GOLDEN_COMMIT[:EXACT_DEPS_AT] + count_past_end + GOLDEN_COMMIT[EXACT_DEPS_AT + 5 :])
 
 
+def memo_entries(deps: ExactDeps) -> int:
+    """Entries of the encoder's memo keyed by a set equal to deps."""
+    return sum(key == deps for key in list(wire._exact_deps_bytes.keys()))
+
+
 def test_equal_exact_deps_share_one_memo_entry():
-    gc.collect()
-    before = len(wire._exact_deps_bytes)
     a = _golden_commit(GOLDEN_DEPS)
     b = _golden_commit(reversed(GOLDEN_DEPS))
     assert a.proposal.deps is not b.proposal.deps
     assert encode_message(a) == encode_message(b) == GOLDEN_COMMIT
-    assert len(wire._exact_deps_bytes) == before + 1
+    assert memo_entries(a.proposal.deps) == 1
 
 
 def test_exact_deps_memo_holds_no_strong_reference():
-    gc.collect()
-    before = len(wire._exact_deps_bytes)
-    msg = _golden_commit(GOLDEN_DEPS)
+    """The memo is weak, and the ring of recently packed sets holds the
+    last 16 sets strongly: once 16 more sets are packed, a set nothing
+    else holds is freed and its entry goes."""
+    vertices = [VertexId(7, 1000), VertexId(8, 1000)]  # in no other test
+    msg = _golden_commit(vertices)
     encode_message(msg)
-    assert len(wire._exact_deps_bytes) == before + 1
     packed = weakref.ref(msg.proposal.deps)
     del msg
     gc.collect()
-    assert len(wire._exact_deps_bytes) == before
-    assert packed() is None  # nor does the ring of recently packed sets
+    assert packed() is not None and memo_entries(packed()) == 1
+    for i in range(wire._recent.maxlen):
+        wire._encode_exact_deps(ExactDeps(frozenset({VertexId(7, 1001 + i)})))
+    gc.collect()
+    assert packed() is None
+    assert memo_entries(_golden_commit(vertices).proposal.deps) == 0
 
 
 def _reference_exact_deps(deps: ExactDeps) -> bytes:
