@@ -52,7 +52,7 @@ def lowest_owned_round(
     return base + steps * num_proposers
 
 
-@dataclass
+@dataclass(slots=True)
 class AcceptorSlot:
     promised: int = -1  # highest round seen; -1 stands for "none yet"
     voted_round: Optional[int] = None
@@ -113,14 +113,14 @@ def select_phase2_value(
     return best_value if best_value is not None else own
 
 
-@dataclass
+@dataclass(slots=True)
 class ChosenEvent:
     proposer: str
     v: VertexId
     proposal: Proposal
 
 
-@dataclass
+@dataclass(slots=True)
 class _Instance:
     value: Proposal  # what this proposer wants chosen (may be superseded)
     round: int

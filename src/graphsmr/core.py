@@ -56,15 +56,23 @@ class VertexId(NamedTuple):
         return self.leader_index.to_bytes(4, "big") + self.seq.to_bytes(4, "big")
 
     def owner_replica(self, num_replicas: int) -> int:
-        return fnv1a64(self.encode()) % num_replicas
+        """fnv1a64(self.encode()) % num_replicas, hashing each field's four
+        big-endian bytes straight from the int. A product's low 64 bits
+        depend only on its operands' low 64 bits, so one mask per field
+        is enough."""
+        h = _FNV64_OFFSET
+        for x in self:
+            h = ((((h ^ (x >> 24)) * _FNV64_PRIME ^ ((x >> 16) & 0xFF)) * _FNV64_PRIME
+                  ^ ((x >> 8) & 0xFF)) * _FNV64_PRIME ^ (x & 0xFF)) * _FNV64_PRIME & _U64
+        return h % num_replicas
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Get:
     key: bytes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Set:
     key: bytes
     value: bytes
@@ -73,7 +81,7 @@ class Set:
 Op = Union[Get, Set]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Command:
     """A client-issued KV operation.
 
@@ -86,7 +94,7 @@ class Command:
     op: Op
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Noop:
     """Recovery filler command: no effect, conflicts with nothing."""
 
@@ -94,7 +102,7 @@ class Noop:
 NOOP = Noop()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Batch:
     """An ordered group of commands agreed on as a single vertex."""
 
@@ -131,13 +139,14 @@ def key_access(x: Payload) -> dict[bytes, bool]:
 # set's above(low) walks only the range above each per-leader watermark.
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, weakref_slot=True)
 class ExactDeps:
     """Dependency set as an explicit set of vertex ids.
 
     Its repr lists the vertices in VertexId order, (seq, leader), as the
     wire format does, so history text and violation evidence depend on the
-    set's content, not on how its hash table was built."""
+    set's content, not on how its hash table was built. It takes weak
+    references, for the wire decoder's memo of the sets it has read."""
 
     vertices: frozenset[VertexId]
 
@@ -164,7 +173,7 @@ class ExactDeps:
         return ExactDeps(self.vertices | extra) if extra else self
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CompactDeps:
     """Dependency set as one watermark per leader.
 
@@ -222,7 +231,7 @@ Deps = Union[ExactDeps, CompactDeps]
 EMPTY_DEPS = ExactDeps(frozenset())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Proposal:
     """The unit of consensus for one vertex: a payload plus its deps.
 

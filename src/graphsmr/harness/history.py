@@ -39,14 +39,14 @@ def gc_paused() -> Iterator[None]:
             gc.enable()
 
 
-@dataclass
+@dataclass(slots=True)
 class Invoke:
     client: str
     client_seq: int
     op: object
 
 
-@dataclass
+@dataclass(slots=True)
 class Reply:
     client: str
     client_seq: int

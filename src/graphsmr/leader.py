@@ -27,14 +27,14 @@ from .messages import (
 FLUSH_MS = 5.0
 
 
-@dataclass
+@dataclass(slots=True)
 class AssignEvent:
     leader: str
     v: VertexId
     cmd: Union[Command, Batch]
 
 
-@dataclass
+@dataclass(slots=True)
 class _Pending:
     cmd: Union[Command, Batch]
     replies: dict[str, Deps] = field(default_factory=dict)

@@ -40,14 +40,14 @@ from .messages import (
 SET_ACK = b"OK"
 
 
-@dataclass
+@dataclass(slots=True)
 class CommitSeen:
     replica: str
     v: VertexId
     proposal: Proposal
 
 
-@dataclass
+@dataclass(slots=True)
 class ExecEvent:
     replica: str
     v: VertexId
@@ -59,7 +59,7 @@ class ExecEvent:
     position: int  # per-replica execution index
 
 
-@dataclass
+@dataclass(slots=True)
 class RespondEvent:
     replica: str
     v: VertexId
@@ -126,6 +126,11 @@ class Replica:
         self.recovery_attempts: dict[VertexId, int] = {}
         self.commit_gaps = DenseGaps()
         self.exec_position = 0
+        # the waiter index: the uncommitted vertices that some waiting
+        # vertex's list names; and the vertex commit() just added, when no
+        # waiting list names it
+        self.awaited: set[VertexId] = set()
+        self.unawaited: Optional[VertexId] = None
 
     def on_message(self, src: str, msg: Message, now: float) -> list[Effect]:
         if isinstance(msg, Commit):
@@ -154,9 +159,14 @@ class Replica:
         if not fresh:
             return out  # duplicate delivery of the same proposal
         self.recovery_attempts.pop(v, None)
+        committed, awaited = self.graph.committed, self.awaited
+        self.unawaited = None if v in awaited else v
+        awaited.discard(v)
         for dep in self.graph.waiting[v]:
-            if dep not in self.graph.committed and dep not in self.recovery_attempts:
-                out.append(self._arm_recovery(dep))
+            if dep not in committed:
+                awaited.add(dep)
+                if dep not in self.recovery_attempts:
+                    out.append(self._arm_recovery(dep))
         gap_key = self.commit_gaps.add(v)
         if gap_key is not None:
             out.append(self._arm_commit_gap(v.leader_index, gap_key))
@@ -194,14 +204,21 @@ class Replica:
         its members are all waiting and, once executed deps are pruned, wait
         only on each other. An uncommitted dep has no edges and never runs.
 
-        A lone waiter needs no traversal: every committed, unexecuted vertex
-        is waiting, so whatever its pruned list still names is uncommitted,
-        and it runs iff that list is empty.
+        Most commits need no traversal. After every call nothing waiting can
+        run, so a fresh commit of v can only let v run, or a vertex that
+        reaches v through waiting lists; the last step of that path is a
+        waiting vertex whose list names v, which was uncommitted when that
+        vertex was added. commit() keeps the waiter index `awaited`, every
+        uncommitted vertex that some waiting list names, and sets
+        `unawaited` to v when v is not in it. Then no vertex waits on v,
+        whatever v's pruned list still names is stuck without v, and v runs
+        alone iff that list is empty. Only a commit that some waiting list
+        names runs the pass above.
         """
-        waiting = self.graph.waiting
-        if len(waiting) == 1:
-            (v,) = waiting
+        v, self.unawaited = self.unawaited, None
+        if v is not None:
             return [] if self._waiting_on(v) else self._execute_component([v])
+        waiting = self.graph.waiting
         out: list[Effect] = []
         roots = sorted(waiting, key=VertexId.sort_key)  # deterministic traversal
         for comp in _tarjan_sccs(roots, self._waiting_on):

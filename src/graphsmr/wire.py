@@ -290,6 +290,13 @@ def _optional(codec: _Codec) -> _Codec:
 # entry goes once no message, proposal, history record or the ring below
 # holds its set.
 #
+# The encoder's memo is keyed by the basic weak reference to a set's
+# frozenset, which weakref.ref() hands back for as long as it lives, so a
+# lookup of a packed set finds its key by identity: no Python-level hash or
+# equality runs, and two sets are compared only when they are equal but
+# distinct objects. Each value also holds a second reference whose callback
+# drops the entry when the frozenset goes.
+#
 # A new set is mostly an earlier set plus a vertex or two, so the encoder
 # also keeps a ring of the last 16 sets it packed, with their bytes, and
 # packs a new set by inserting what it adds into the bytes of the largest of
@@ -297,7 +304,7 @@ def _optional(codec: _Codec) -> _Codec:
 # one grows from are often freed by then; 16 sets and their bytes bound it.
 # The bytes are a function of the set alone, so which earlier set was used,
 # if any, cannot change them.
-_exact_deps_bytes: "weakref.WeakKeyDictionary[ExactDeps, bytes]" = weakref.WeakKeyDictionary()
+_exact_deps_bytes: "dict[weakref.ref, tuple[bytes, weakref.KeyedRef]]" = {}
 _exact_deps_read: "weakref.WeakValueDictionary[bytes, ExactDeps]" = weakref.WeakValueDictionary()
 _recent: "deque[tuple[ExactDeps, bytes]]" = deque(maxlen=16)
 
@@ -365,16 +372,19 @@ def _encode_exact_deps(deps: ExactDeps) -> bytes:
     else:
         parent, parent_data = nearest
         data = _insert_sorted(parent_data, vertices - parent)
-    _exact_deps_bytes[deps] = data
+    key = weakref.ref(vertices)
+    _exact_deps_bytes.setdefault(key, (data, weakref.KeyedRef(vertices, _forget_exact_deps, key)))
     _recent.append((deps, data))
     return data
 
 
+def _forget_exact_deps(dead: weakref.KeyedRef) -> None:
+    _exact_deps_bytes.pop(dead.key, None)
+
+
 def _write_exact_deps(out: list, deps: ExactDeps) -> None:
-    data = _exact_deps_bytes.get(deps)
-    if data is None:
-        data = _encode_exact_deps(deps)
-    out.append(data)
+    packed = _exact_deps_bytes.get(weakref.ref(deps.vertices))
+    out.append(_encode_exact_deps(deps) if packed is None else packed[0])
 
 
 def _read_exact_deps(r: _Reader) -> ExactDeps:

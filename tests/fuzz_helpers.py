@@ -273,8 +273,8 @@ def ordered_unlinked_pairs(records) -> list[tuple[VertexId, VertexId]]:
 
 def reference_execute_eligible(replica) -> list:
     """Reference for Replica.execute_eligible: Tarjan over every waiting
-    vertex on every call, with no lone-waiter shortcut. Install it on an
-    instance to drive a replica's commits through it."""
+    vertex on every call, with no shortcut for the vertex just committed.
+    Install it on an instance to drive a replica's commits through it."""
     waiting = replica.graph.waiting
     out: list = []
     roots = sorted(waiting, key=VertexId.sort_key)

@@ -256,3 +256,14 @@ class TestEncoding:
         assert owners == {0, 1}
         for v in vs:
             assert v.owner_replica(1) == 0
+
+    def test_owner_is_fnv1a64_of_the_encoding(self):
+        """owner_replica hashes the two fields without building the bytes;
+        it must agree with the hash of the canonical encoding, every byte
+        of both fields included."""
+        values = [0, 1, 2, 7, 255, 256, 0x1234, 0xFFFF, 0x10000, 0xABCDEF, 0x7FFFFFFF, 2**32 - 1]
+        for leader in values:
+            for seq in values:
+                v = VertexId(leader, seq)
+                h = fnv1a64(v.encode())
+                assert [v.owner_replica(n) for n in range(1, 6)] == [h % n for n in range(1, 6)]

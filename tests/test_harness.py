@@ -1,5 +1,7 @@
+import dataclasses
 import gc
 import random
+import typing
 from collections import Counter
 from fractions import Fraction
 
@@ -10,7 +12,9 @@ from fuzz_helpers import (
     commit_holes, conflicts, fuzz_config, mutation_config, ordered_unlinked_pairs,
     pairwise_conflict_violations, random_workload, run_fingerprint, short_scenario,
 )
+from graphsmr import messages
 from graphsmr.bench import BenchConfig, generate_workload, sim_config_for
+from graphsmr.consensus import AcceptorSlot, ChosenEvent, _Instance
 from graphsmr.core import (
     Batch, Get, NOOP, NOOP_PROPOSAL, Proposal, Set, VertexId, CompactDeps, ExactDeps,
     EMPTY_DEPS, Command,
@@ -33,7 +37,7 @@ from graphsmr.harness import (
 from graphsmr.harness import history as history_module
 from graphsmr.harness.history import Invoke, Reply
 from graphsmr.harness.sim import Simulation
-from graphsmr.leader import AssignEvent
+from graphsmr.leader import AssignEvent, _Pending
 from graphsmr.messages import ClientResponse, Send, SetTimer
 from graphsmr.replica import CommitSeen, ExecEvent, Replica, RespondEvent
 from graphsmr.sockets import SocketCluster
@@ -224,6 +228,41 @@ class TestMessageCounts:
         loads = self.run_loads(f=1, leaders=4, replicas=2)
         assert loads["leader"] == 8
         assert loads["proposer"] == 9
+
+
+MESSAGE_CLASSES = typing.get_args(messages.Message)
+VALUE_CLASSES = (Command, Get, Set, Batch, type(NOOP), ExactDeps, CompactDeps, Proposal)
+EFFECT_CLASSES = typing.get_args(messages.Effect)
+EVENT_CLASSES = (Invoke, Reply, AssignEvent, ChosenEvent, CommitSeen, ExecEvent, RespondEvent)
+STATE_CLASSES = (AcceptorSlot, _Instance, _Pending)
+
+
+def placeholder(cls):
+    """An instance with None in every field: only its shape is tested."""
+    return cls(*[None] * len(dataclasses.fields(cls)))
+
+
+class TestObjectContracts:
+    """A fan-out shares one message object between its destinations, and
+    the same proposal, command and dependency set ride on many messages, so
+    none of them may change once built. Messages, effects, history records
+    and per-vertex role state are built on every event, so each keeps its
+    fields in slots, with no per-instance dict."""
+
+    @pytest.mark.parametrize("cls", MESSAGE_CLASSES + VALUE_CLASSES, ids=lambda c: c.__name__)
+    def test_shared_values_reject_assignment(self, cls):
+        value = placeholder(cls)
+        for field in dataclasses.fields(cls):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, field.name, None)
+
+    @pytest.mark.parametrize(
+        "cls",
+        MESSAGE_CLASSES + VALUE_CLASSES + EFFECT_CLASSES + EVENT_CLASSES + STATE_CLASSES,
+        ids=lambda c: c.__name__,
+    )
+    def test_hot_records_have_no_instance_dict(self, cls):
+        assert not hasattr(placeholder(cls), "__dict__")
 
 
 class TestVertexIdInvariants:

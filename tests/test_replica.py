@@ -476,18 +476,26 @@ def test_commit_order_does_not_change_state_or_conflict_order(data):
 
 
 @given(st.data())
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=150, deadline=None)
 def test_execution_matches_full_traversal_oracle(data):
-    """Random committed graphs, with cycles and deps that are never
-    committed, delivered in random orders (some twice): the replica emits
-    the same ExecEvents, call by call, as one whose execute_eligible runs
-    Tarjan over every waiting vertex."""
-    universe = [VertexId(i % 3, i // 3) for i in range(data.draw(st.integers(1, 9)))]
+    """Random committed graphs of exact and compact deps, with cycles and
+    deps that are never committed, delivered in random orders (some twice):
+    every commit() returns the same effects, call by call, as on a replica
+    whose execute_eligible runs Tarjan over every waiting vertex, so a
+    commit that runs alone or parks without a traversal leaves nothing
+    eligible behind."""
+    universe = [VertexId(i % 3, i // 3) for i in range(data.draw(st.integers(1, 12)))]
     committed = data.draw(st.lists(st.sampled_from(universe), min_size=1, unique=True))
+    exact_deps = st.lists(st.sampled_from(universe), max_size=4).map(
+        lambda vs: ExactDeps(frozenset(vs))
+    )
+    compact_deps = st.lists(
+        st.one_of(st.none(), st.integers(0, 3)), min_size=3, max_size=3
+    ).map(lambda ws: CompactDeps(tuple(ws)))
     proposals = {
         v: Proposal(
             Command(f"c{n}", 1, Set(data.draw(st.sampled_from([b"x", b"y"])), bytes([n]))),
-            ExactDeps(frozenset(data.draw(st.lists(st.sampled_from(universe), max_size=4)))),
+            data.draw(st.one_of(exact_deps, compact_deps)),
         )
         for n, v in enumerate(committed)
     }
@@ -497,10 +505,9 @@ def test_execution_matches_full_traversal_oracle(data):
     rep, oracle = make_replica(), make_replica()
     oracle.execute_eligible = lambda: reference_execute_eligible(oracle)
     for v in order:
-        assert execs(rep.commit(v, proposals[v], 0.0)) == execs(
-            oracle.commit(v, proposals[v], 0.0)
-        )
+        assert rep.commit(v, proposals[v], 0.0) == oracle.commit(v, proposals[v], 0.0)
     assert rep.kv == oracle.kv
+    assert rep.graph.waiting == oracle.graph.waiting
 
 
 @given(st.data())

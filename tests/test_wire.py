@@ -341,7 +341,7 @@ def test_exact_deps_truncated_list_rejected():
 
 def memo_entries(deps: ExactDeps) -> int:
     """Entries of the encoder's memo keyed by a set equal to deps."""
-    return sum(key == deps for key in list(wire._exact_deps_bytes.keys()))
+    return sum(key() == deps.vertices for key in list(wire._exact_deps_bytes))
 
 
 def test_equal_exact_deps_share_one_memo_entry():
