@@ -203,9 +203,6 @@ class Proposer:
     def _start_phase1(self, v: VertexId, inst: _Instance) -> list[Effect]:
         inst.phase = "p1"
         inst.p1_replies = {}
-        return self._phase1_sends(v, inst)
-
-    def _phase1_sends(self, v: VertexId, inst: _Instance) -> list[Effect]:
         request = Phase1a(v, inst.round)
         out: list[Effect] = [Send(a, request) for a in self.acceptors]
         out.append(SetTimer(self.retransmit_ms, ("paxos-retx", v)))

@@ -59,7 +59,7 @@ def _execute_in_arrival_order(replica: Replica):
     def execute_eligible() -> list[Effect]:
         out: list[Effect] = []
         for v in list(replica.graph.waiting):
-            out.extend(replica._execute_vertex(v))
+            replica._execute_vertex(v, out)
         return out
 
     return execute_eligible

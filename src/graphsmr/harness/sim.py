@@ -9,10 +9,12 @@ service_cost_ms, so a busy machine queues work behind itself. Timers fire
 instantly (they model local clocks, not network work). Messages between
 roles fused onto one machine skip the network entirely but still cost
 service time there. The socket transport (sockets.py) runs this same loop
-on the wall clock, with loopback TCP in place of the modelled links.
+on the wall clock, with loopback TCP in place of the modelled links, and
+with the same crashes, partitions, loss and duplication.
 
 A run that captures its wire trace encodes the body of each message object
-it sends once, when the first copy passes the loss and partition decision,
+it sends once, when the first copy passes the loss and partition decision
+(on sockets, each delivery carries the body of the frame it arrived in),
 and every delivery of it appends a record around that body to one buffer,
 which becomes SimResult.wire_trace without a copy.
 
@@ -228,11 +230,15 @@ class Simulation:
 
     @gc_paused()
     def _run(self, settle_ms: float, net) -> SimResult:
-        """The run loop of both transports. With net None, time is simulated
-        and the loop models the links. Otherwise net is a network of real
-        links (sockets._Loopback): the loop hands it every Send and, when no
-        event is due on its wall clock, flushes it and waits on it for
-        deliveries, and each handler runs at the wall time it is called."""
+        """The run loop of both transports. It decides every fault the same
+        way on both: a crashed node handles nothing, and a Send across a
+        partition or lost to its link's drop probability goes nowhere, while
+        one drawn as a duplicate goes out twice. With net None, time is
+        simulated and the loop models the links. Otherwise net is a network
+        of real links (sockets._Loopback): the loop hands it each Send that
+        survives, and, when no event is due on its wall clock, flushes it and
+        waits on it for deliveries, each with its message's encoded body;
+        each handler runs at the wall time it is called."""
         config = self.config
         heap, busy, history = self.heap, self.busy, self.history
         sent, received, crashes = self.sent, self.received, self.crashes
@@ -276,8 +282,8 @@ class Simulation:
                     if t >= max_ms:
                         break
                     net.flush()
-                    for src, dst, msg in net.poll((heap[0][0] if heap else max_ms) - t):
-                        heappush(heap, (t, seq, _DELIVER, dst, src, msg, None))
+                    for src, dst, msg, body in net.poll((heap[0][0] if heap else max_ms) - t):
+                        heappush(heap, (t, seq, _DELIVER, dst, src, msg, body if capture else None))
                         seq += 1
                     continue
                 _due, _n, kind, node, a, b, encoded = heappop(heap)
@@ -312,9 +318,6 @@ class Simulation:
                 if effect is Send:
                     sent[node] = sent.get(node, 0) + 1
                     dst = eff.dst
-                    if net is not None:
-                        net.send(node, dst, eff.msg)
-                        continue
                     link = links.get((node, dst))
                     if link is None:
                         link = links[node, dst] = self._link(node, dst)
@@ -326,6 +329,11 @@ class Simulation:
                         if drop > 0.0 and chance() < drop:
                             continue
                     msg = eff.msg
+                    if net is not None:  # real links: the delay is theirs
+                        net.send(node, dst, msg)
+                        if dup > 0.0 and chance() < dup:
+                            net.send(node, dst, msg)
+                        continue
                     if capture and msg is not last_msg:
                         last_msg, last_body = msg, encode(msg)
                     if co_located:

@@ -215,26 +215,27 @@ class Replica:
         alone iff that list is empty. Only a commit that some waiting list
         names runs the pass above.
         """
+        out: list[Effect] = []
         v, self.unawaited = self.unawaited, None
         if v is not None:
-            return [] if self._waiting_on(v) else self._execute_component([v])
+            if not self._waiting_on(v):
+                self._execute_component([v], out)
+            return out
         waiting = self.graph.waiting
-        out: list[Effect] = []
         roots = sorted(waiting, key=VertexId.sort_key)  # deterministic traversal
         for comp in _tarjan_sccs(roots, self._waiting_on):
             members = set(comp)
             if all(v in waiting and members.issuperset(self._waiting_on(v)) for v in comp):
-                out.extend(self._execute_component(comp))
+                self._execute_component(comp, out)
         return out
 
-    def _execute_component(self, comp: list[VertexId]) -> list[Effect]:
+    def _execute_component(self, comp: list[VertexId], out: list[Effect]) -> None:
         """Run a component whose deps outside it have all executed, so once
-        it has run, every dep of each member has executed."""
-        out: list[Effect] = []
+        it has run, every dep of each member has executed. Its effects go
+        to out, as do those of the helpers below."""
         for v in sorted(comp, key=VertexId.sort_key):
-            out.extend(self._execute_vertex(v))
+            self._execute_vertex(v, out)
         self.graph.deps_executed(comp)
-        return out
 
     def _waiting_on(self, v: VertexId) -> list[VertexId]:
         """v's edges: its waiting list, pruned in place of executed deps."""
@@ -243,10 +244,9 @@ class Replica:
             deps[:] = [dep for dep in deps if dep not in self.graph.executed]
         return deps or []
 
-    def _execute_vertex(self, v: VertexId) -> list[Effect]:
+    def _execute_vertex(self, v: VertexId, out: list[Effect]) -> None:
         proposal = self.graph.committed[v]
         self.graph.mark_executed(v)
-        out: list[Effect] = []
         cmds: tuple[Union[Command, Noop], ...]
         if isinstance(proposal.cmd, Batch):
             cmds = proposal.cmd.commands
@@ -254,14 +254,16 @@ class Replica:
             cmds = (proposal.cmd,)
         owns = v.owner_replica(self.num_replicas) == self.index
         for cmd in cmds:
-            out.extend(self._apply_one(v, cmd, owns))
-        return out
+            self._apply_one(v, cmd, owns, out)
 
-    def _apply_one(self, v: VertexId, cmd: Union[Command, Noop], owns: bool) -> list[Effect]:
+    def _apply_one(
+        self, v: VertexId, cmd: Union[Command, Noop], owns: bool, out: list[Effect]
+    ) -> None:
         position = self.exec_position
         self.exec_position += 1
         if isinstance(cmd, Noop):
-            return [Note(ExecEvent(self.name, v, None, None, None, False, None, position))]
+            out.append(Note(ExecEvent(self.name, v, None, None, None, False, None, position)))
+            return
 
         applied = not self.table.contains(cmd.client_id, cmd.client_seq)
         if applied:
@@ -269,40 +271,23 @@ class Replica:
             self.table.record(cmd.client_id, cmd.client_seq, output)
         else:
             available, output = self.table.cached(cmd.client_id, cmd.client_seq)
-        event = ExecEvent(
+        out.append(Note(ExecEvent(
             self.name, v, cmd.client_id, cmd.client_seq, cmd.op,
             applied, output if available else None, position,
-        )
-        return [Note(event), *self._respond(v, cmd, available, output, owns)]
+        )))
+        if owns:  # the answer to the client, from the replica that owns v only
+            out.append(Note(RespondEvent(
+                self.name, v, cmd.client_id, cmd.client_seq, available, output
+            )))
+            out.append(Send(
+                cmd.client_id, ClientResponse(cmd.client_id, cmd.client_seq, available, output)
+            ))
 
     def apply_command(self, cmd: Command) -> Optional[bytes]:
         if isinstance(cmd.op, Get):
             return self.kv.get(cmd.op.key)
         self.kv[cmd.op.key] = cmd.op.value
         return SET_ACK
-
-    def _respond(
-        self,
-        v: VertexId,
-        cmd: Command,
-        available: bool,
-        output: Optional[bytes],
-        owns: bool,
-    ) -> list[Effect]:
-        """The answer to the client, from the replica that owns v only."""
-        if not owns:
-            return []
-        return [
-            Note(
-                RespondEvent(
-                    self.name, v, cmd.client_id, cmd.client_seq, available, output
-                )
-            ),
-            Send(
-                cmd.client_id,
-                ClientResponse(cmd.client_id, cmd.client_seq, available, output),
-            ),
-        ]
 
     # -- recovery ----------------------------------------------------------
 

@@ -12,11 +12,15 @@ and waits on the selector only when no event is due, a read drains the
 socket, and a connection waits to be writable only while the kernel has not
 taken all its bytes.
 
-Provides no determinism, no modelled link delay, no service-time model, no
-fault injection and no wire trace: it takes no fault list, and it rejects a
-config that sets any field of SIMULATOR_ONLY away from its SimConfig
-default. It exists to show the roles run unchanged off the simulator and for
-smoke-level benchmarking. Safety acceptance runs stay on the simulator.
+The loop decides every fault before it hands a Send to this network, so a
+socket run takes the simulator's fault list and honours its crashes,
+partitions, loss and duplication, and it captures the wire trace from the
+frames it reads. It provides no determinism (the wall clock orders events,
+so a seed does not fix a run), no modelled link delay and no service-time
+model: it rejects a config that sets any field of SIMULATOR_ONLY away from
+its SimConfig default. It exists to show the roles run unchanged off the
+simulator and for smoke-level benchmarking. Safety acceptance runs stay on
+the simulator.
 """
 
 from __future__ import annotations
@@ -33,8 +37,7 @@ from .wire import decode_frame, encode_frame, split_frames
 # what only the simulator models; the default of each means the transport's
 # own links and clock, and every role its own endpoint (coupled fuses roles
 # onto one machine, whose messages skip the network only in the simulator)
-SIMULATOR_ONLY = ("min_delay_ms", "max_delay_ms", "service_cost_ms", "capture_wire_trace",
-                  "coupled")
+SIMULATOR_ONLY = ("min_delay_ms", "max_delay_ms", "service_cost_ms", "coupled")
 _DEFAULTS = SimConfig()
 
 
@@ -126,10 +129,11 @@ class _Loopback:
         elif writing and not conn.unsent:
             self.sel.unregister(conn.sock)
 
-    def poll(self, timeout_ms: float) -> list[tuple[str, str, object]]:
+    def poll(self, timeout_ms: float) -> list[tuple[str, str, object, bytes]]:
         """Waits up to timeout_ms for the selector, then accepts, writes and
-        reads what is ready; returns the (src, dst, msg) of every frame read."""
-        deliveries: list[tuple[str, str, object]] = []
+        reads what is ready; returns the (src, dst, msg, the message's
+        encoded body) of every frame read."""
+        deliveries: list[tuple[str, str, object, bytes]] = []
         for key, _events in self.sel.select(timeout_ms / 1000.0):
             if key.events == selectors.EVENT_WRITE:
                 self._flush(key.data)
@@ -160,30 +164,30 @@ class _Loopback:
                 return
             frames, conn.unparsed = split_frames(conn.unparsed + chunk)
             for frame in frames:
-                src, msg = decode_frame(frame)
-                deliveries.append((src, conn.node, msg))
+                src, msg, body = decode_frame(frame)
+                deliveries.append((src, conn.node, msg, body))
 
 
 class SocketCluster(Simulation):
     """Stands up every role (and client) as a TCP endpoint of one loop."""
 
-    def __init__(self, sim_config, workload) -> None:
+    def __init__(self, sim_config, workload, faults=()) -> None:
         unsupported = [name for name in SIMULATOR_ONLY
                        if getattr(sim_config, name) != getattr(_DEFAULTS, name)]
         if unsupported:
             raise ConfigError(f"the socket transport cannot honour {', '.join(unsupported)}: "
                               "only the simulator models them, so each must keep its default")
-        super().__init__(sim_config, workload)
+        super().__init__(sim_config, workload, faults)
 
-    def run(self) -> SimResult:
+    def run(self, settle_ms: float = 0.0) -> SimResult:
         """Simulation.run's contract, kept by the same loop, on the wall
         clock from opening the network: max_sim_ms caps the run, a replica
-        panic ends it with its evidence in the history, and end_ms is when
-        the last client was done. Every socket is closed when it returns or
-        raises."""
+        panic ends it with its evidence in the history, it goes on for
+        settle_ms after the last client was done, and end_ms is when that
+        was. Every socket is closed when it returns or raises."""
         net = _Loopback()
         try:
             net.listen(self.roles)
-            return self._run(0.0, net)
+            return self._run(settle_ms, net)
         finally:
             net.close()

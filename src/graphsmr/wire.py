@@ -479,8 +479,10 @@ def encode_frame(src: str, msg: Message) -> bytes:
     return b"".join(out)
 
 
-def decode_frame(body: bytes) -> tuple[str, Message]:
-    return _decode(body, 1, {})
+def decode_frame(body: bytes) -> tuple[str, Message, bytes]:
+    """(src, msg, msg's body as encode_message gives it) of a frame's body."""
+    src, msg = _decode(body, 1, {})
+    return src, msg, body[len(_header(src)):]
 
 
 def write_trace_record(write: Callable[[bytes], Any], src: str, dst: str, body: bytes) -> None:

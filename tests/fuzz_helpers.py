@@ -15,7 +15,9 @@ from graphsmr.consensus import ChosenEvent
 from graphsmr.core import Get, Op, Payload, Set, VertexId, footprint, key_access
 from graphsmr.harness import Crash, Fault, LinkFault, SimConfig, Timeouts, export_history
 from graphsmr.harness.mutations import Mutations
+from graphsmr.harness.sim import Simulation
 from graphsmr.replica import CommitSeen, ExecEvent, _tarjan_sccs
+from graphsmr.sockets import SocketCluster
 
 HOT = b"hotkey!!"
 
@@ -41,6 +43,18 @@ def random_workload(
                 ops.append(Get(f"u{uniq:07d}".encode()))
         out.append(ops)
     return out
+
+
+def on_each_transport(cases, simulator_only=()) -> list:
+    """Each pytest.param of cases with the class that runs it appended:
+    Simulation under the case's own id, and SocketCluster under "socket-"
+    and the id, except for the ids in simulator_only."""
+    import pytest
+
+    return [pytest.param(*case.values, Simulation, id=case.id) for case in cases] + [
+        pytest.param(*case.values, SocketCluster, id=f"socket-{case.id}")
+        for case in cases if case.id not in simulator_only
+    ]
 
 
 def closed_form_loads(f: int, replicas: int) -> dict[str, Fraction]:
@@ -282,7 +296,7 @@ def reference_execute_eligible(replica) -> list:
         members = set(comp)
         if all(v in waiting and members.issuperset(replica._waiting_on(v)) for v in comp):
             for v in sorted(comp, key=VertexId.sort_key):
-                out.extend(replica._execute_vertex(v))
+                replica._execute_vertex(v, out)
     return out
 
 

@@ -9,8 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fuzz_helpers import (
-    commit_holes, conflicts, fuzz_config, mutation_config, ordered_unlinked_pairs,
-    pairwise_conflict_violations, random_workload, run_fingerprint, short_scenario,
+    commit_holes, conflicts, fuzz_config, mutation_config, on_each_transport,
+    ordered_unlinked_pairs, pairwise_conflict_violations, random_workload, run_fingerprint,
+    short_scenario,
 )
 from graphsmr import messages
 from graphsmr.bench import BenchConfig, generate_workload, sim_config_for
@@ -399,9 +400,9 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             run_simulation(SimConfig(seed=0), simple_workload(), [LinkFault("*", "*", dup=1.5)])
 
-    @pytest.mark.parametrize("fault", [
-        LinkFault("*", "*", drop=1.5),
-        LinkFault("leader-0", "*", dup=-0.1),
+    @pytest.mark.parametrize("fault, transport", on_each_transport([
+        pytest.param(LinkFault("*", "*", drop=1.5), id="fault0"),
+        pytest.param(LinkFault("leader-0", "*", dup=-0.1), id="fault1"),
         # faults that can never fire: a node the cluster lacks, a partition
         # that does not end after it starts or that cuts no link, or a link
         # fault that sets no probability
@@ -415,10 +416,11 @@ class TestConfigValidation:
         pytest.param(LinkFault("*", "*"), id="link-sets-nothing"),
         pytest.param(Partition(frozenset(), 5.0, 60.0), id="partition-no-node"),
         pytest.param(Partition(EVERY_NODE, 5.0, 60.0), id="partition-every-node"),
-    ])
-    def test_bad_link_fault_probability_rejected(self, fault):
+    ]))
+    def test_bad_link_fault_probability_rejected(self, fault, transport):
+        """Both transports validate faults in Simulation's constructor."""
         with pytest.raises(ConfigError):
-            run_simulation(SimConfig(seed=0), simple_workload(), [fault])
+            transport(SimConfig(seed=0), simple_workload(), [fault])
 
     @pytest.mark.parametrize("delays", [
         dict(min_delay_ms=-1.0, max_delay_ms=1.0),

@@ -1,6 +1,6 @@
 """Loopback socket transport smoke tests. These runs are not deterministic
 and carry no timing claims; they only show the role state machines work
-unchanged over real sockets."""
+unchanged over real sockets, faults included."""
 
 import dataclasses
 import os
@@ -9,12 +9,13 @@ import threading
 
 import pytest
 
-from fuzz_helpers import closed_form_loads, random_workload
+from fuzz_helpers import closed_form_loads, commit_holes, random_workload
 from graphsmr.bench import BenchConfig, run_bench
 from graphsmr.core import NOOP_PROPOSAL, Get, Set
-from graphsmr.harness import NO_TIMEOUTS, ConfigError, role_loads
+from graphsmr.harness import NO_TIMEOUTS, ConfigError, Crash, LinkFault, role_loads
 from graphsmr.harness.history import check_history
 from graphsmr.harness.sim import SimConfig
+from graphsmr.leader import AssignEvent
 from graphsmr.messages import Commit
 from graphsmr.replica import Replica
 from graphsmr.sockets import SocketCluster
@@ -74,11 +75,10 @@ def test_role_loads_match_criterion_3():
 # off the network only in the simulator, while every role of a socket run is
 # its own loopback endpoint either way.
 HONOURED = {"seed", "f", "leaders", "replicas", "compact_deps", "thrifty",
-            "batch_size", "timeouts", "max_sim_ms", "mutations"}
+            "batch_size", "timeouts", "max_sim_ms", "mutations", "capture_wire_trace"}
 REJECTED = [
     pytest.param("min_delay_ms", 0.5, id="min-delay"),
     pytest.param("max_delay_ms", 2.0, id="max-delay"),
-    pytest.param("capture_wire_trace", True, id="trace"),
     pytest.param("service_cost_ms", 0.5, id="service-cost"),
     pytest.param("coupled", True, id="coupled"),
 ]
@@ -94,9 +94,9 @@ def test_every_config_field_is_honoured_or_rejected():
 
 @pytest.mark.parametrize("name, value", REJECTED)
 def test_what_only_the_simulator_models_is_rejected(name, value):
-    """A delayed, traced, costed or coupled config would otherwise run on
-    the transport's own links, untraced, at no cost and unfused. The field is
-    named before the rest of the config is checked."""
+    """A delayed, costed or coupled config would otherwise run on the
+    transport's own links, at no cost and unfused. The field is named before
+    the rest of the config is checked."""
     with pytest.raises(ConfigError, match=f"cannot honour {name}"):
         SocketCluster(SimConfig(seed=0, max_sim_ms=20_000, **{name: value}), [[Get(b"k")]])
 
@@ -117,6 +117,27 @@ def test_no_timer_past_the_cap_is_queued():
                             random_workload(random.Random(3), 4, 10, 0.3))
     assert cluster.run().completed
     assert all(event[0] <= 20_000 for event in cluster.heap)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_a_faulted_run_is_safe_and_closes_every_socket(seed):
+    """The loop decides faults before it picks the transport, so a socket
+    run loses and duplicates frames and crashes a leader as the simulator's
+    faults workload does, then settles: every command completes, the
+    history checks, no live replica misses a chosen vertex, the crashed
+    leader assigns nothing after its crash, and every socket is closed."""
+    faults = [LinkFault("*", "*", drop=0.05, dup=0.05), Crash("leader-1", 300.0)]
+    cluster = SocketCluster(SimConfig(seed=seed, max_sim_ms=20_000),
+                            random_workload(random.Random(seed), 4, 20, 0.5), faults)
+    before = open_fds()
+    run = cluster.run(settle_ms=1000.0)
+    assert open_fds() == before
+    assert run.completed
+    verdict = check_history(run.history)
+    assert verdict.ok, str(verdict)
+    assert commit_holes(run, faults, settle_ms=1000.0) == []
+    assert not [t for t, _n, ev in run.history
+                if isinstance(ev, AssignEvent) and ev.leader == "leader-1" and t >= 300.0]
 
 
 def test_every_connection_is_closed_when_run_returns():
