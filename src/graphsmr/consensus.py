@@ -80,9 +80,12 @@ class Acceptor:
         return Nack(v, slot.promised)
 
     def handle_phase2a(self, v: VertexId, r: int, value: Proposal) -> Message:
-        slot = self._slot(v)
+        slot = self.slots.get(v)
+        if slot is None:  # nothing promised yet, so the round is accepted
+            self.slots[v] = AcceptorSlot(r, r, value)
+            return Phase2b(v, r)
         if r >= slot.promised:
-            slot.promised = max(slot.promised, r)
+            slot.promised = r
             slot.voted_round = r
             slot.voted_value = value
             return Phase2b(v, r)

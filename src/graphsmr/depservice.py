@@ -8,7 +8,16 @@ from __future__ import annotations
 from itertools import islice
 from typing import Iterator, Union
 
-from .core import Batch, Command, CompactDeps, Deps, ExactDeps, VertexId, key_access
+from .core import (
+    EMPTY_DEPS,
+    Batch,
+    Command,
+    CompactDeps,
+    Deps,
+    ExactDeps,
+    VertexId,
+    key_access,
+)
 from .messages import DepReply, DepRequest, Effect, Message, Send
 
 
@@ -45,6 +54,7 @@ class DepServiceNode:
         self._writes: dict[bytes, Union[dict[VertexId, None], CompactDeps]] = {}
         self._reads: dict[bytes, Union[dict[VertexId, None], CompactDeps]] = {}
         self.reply_cache: dict[VertexId, Union[CompactDeps, Prefixes]] = {}
+        self._no_deps = CompactDeps((None,) * num_leaders)
 
     def _conflicting_rows(self, access: dict[bytes, bool]) -> Iterator:
         """The index rows a request reads: the writes on each key it
@@ -69,8 +79,11 @@ class DepServiceNode:
         access = key_access(cmd)
         deps: Deps
         if self.compact:
-            deps = CompactDeps.covering((), self.num_leaders)
-            for row in self._conflicting_rows(access):
+            # the union of the rows read, from the first one on; a request
+            # that reads none answers the empty watermarks
+            read = self._conflicting_rows(access)
+            deps = next(read, self._no_deps)
+            for row in read:
                 deps = deps.union(row)
             self.reply_cache[v] = deps
             mine = CompactDeps.covering((v,), self.num_leaders)
@@ -82,11 +95,19 @@ class DepServiceNode:
             # v joins no row before its answer is recorded, so no row read
             # holds it
             rows = tuple(self._conflicting_rows(access))
-            deps = ExactDeps(frozenset().union(*rows))
-            self.reply_cache[v] = tuple((row, len(row)) for row in rows)
+            if rows:
+                deps = ExactDeps(frozenset().union(*rows))
+                self.reply_cache[v] = tuple((row, len(row)) for row in rows)
+            else:
+                deps = EMPTY_DEPS
+                self.reply_cache[v] = ()
             for key, is_write in access.items():
                 index = self._writes if is_write else self._reads
-                index.setdefault(key, {})[v] = None
+                row = index.get(key)
+                if row is None:
+                    index[key] = {v: None}
+                else:
+                    row[v] = None
         return deps
 
     def on_message(self, src: str, msg: Message, now: float) -> list[Effect]:

@@ -95,13 +95,18 @@ class ClosedLoopClient:
             return []
         op = self.ops[self.idx]
         seq = self.idx + 1
-        cmd = Command(self.name, seq, op)
-        self._leader = min(self._rotation, key=self.misses.__getitem__)
+        misses = self.misses
+        # the base leader comes first in rotation order, so it wins while
+        # no leader has a miss
+        self._leader = (
+            min(self._rotation, key=misses.__getitem__) if any(misses)
+            else self.base_leader
+        )
         out: list[Effect] = []
         if first:
             self._sent_at = now
             out.append(Note(Invoke(self.name, seq, op)))
-        out.append(Send(self.leaders[self._leader], ClientRequest(cmd)))
+        out.append(Send(self.leaders[self._leader], ClientRequest(Command(self.name, seq, op))))
         # low backoff ceiling: moving away from a dead leader matters more
         # than politeness at simulation scale
         out.append(
@@ -110,18 +115,32 @@ class ClosedLoopClient:
         return out
 
     def on_message(self, src: str, msg: Message, now: float) -> list[Effect]:
+        """Record the answer to the outstanding command and issue the next
+        one in the same frame and effect list: _issue(now, first=True) with
+        no attempt failed yet."""
         if not isinstance(msg, ClientResponse):
             return []
-        if self.done or msg.client_seq != self.idx + 1:
+        seq, ops = self.idx + 1, self.ops
+        if msg.client_seq != seq or seq > len(ops):
             return []  # stale or duplicate answer
         self.reply_times.append((self._sent_at, now))
-        self.idx += 1
+        self.idx = seq
         self.attempts = 0
-        self.misses[self._leader] = 0
-        out: list[Effect] = [
-            Note(Reply(self.name, msg.client_seq, msg.output_available, msg.output))
-        ]
-        out.extend(self._issue(now, first=True))
+        misses = self.misses
+        misses[self._leader] = 0
+        name = self.name
+        out: list[Effect] = [Note(Reply(name, seq, msg.output_available, msg.output))]
+        if seq < len(ops):
+            op = ops[seq]
+            seq += 1
+            self._sent_at = now
+            leader = self._leader = (
+                min(self._rotation, key=misses.__getitem__) if any(misses)
+                else self.base_leader
+            )
+            out.append(Note(Invoke(name, seq, op)))
+            out.append(Send(self.leaders[leader], ClientRequest(Command(name, seq, op))))
+            out.append(SetTimer(self.retry_ms, ("retry", seq)))  # no attempt failed yet
         return out
 
 

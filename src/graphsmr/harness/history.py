@@ -93,7 +93,10 @@ def _key_index(
     index: dict[bytes, tuple[list[VertexId], list[VertexId]]] = {}
     for v in sorted(proposals, key=VertexId.sort_key):
         for key, is_write in key_access(proposals[v].cmd).items():
-            index.setdefault(key, ([], []))[0 if is_write else 1].append(v)
+            lists = index.get(key)
+            if lists is None:
+                lists = index[key] = ([], [])
+            lists[0 if is_write else 1].append(v)
     return {
         key: (writers, readers)
         for key, (writers, readers) in index.items()
@@ -219,11 +222,13 @@ def check_history(records: list[Record]) -> Verdict:
         elif isinstance(ev, RespondEvent):
             responds.append(rec)
 
-    # (a) per-vertex agreement across every chosen/commit observation
+    # (a) per-vertex agreement across every chosen/commit observation; most
+    # records share the first one's proposal object, which needs no compare
     for v, recs in commit_records.items():
         first = recs[0][2].proposal
         for rec in recs[1:]:
-            if rec[2].proposal != first:
+            proposal = rec[2].proposal
+            if proposal is not first and proposal != first:
                 violations.append(
                     Violation(
                         "per-vertex-agreement",

@@ -27,6 +27,7 @@ commit graphs, history and dependency sets.
 from __future__ import annotations
 
 import io
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -92,6 +93,12 @@ class SimConfig:
             raise ConfigError(f"batch_size must be >= 1, got {self.batch_size}")
         if not self.max_sim_ms > 0:
             raise ConfigError(f"the run's time cap must be positive, got {self.max_sim_ms:g} ms")
+        # a timer of no delay re-fires at one instant forever, and a NaN
+        # delay never fires at all
+        for name in ("client_retry_ms", "retransmit_ms", "recovery_timeout_ms"):
+            delay = getattr(self.timeouts, name)
+            if not delay > 0:
+                raise ConfigError(f"timeout {name} must be positive, got {delay:g} ms")
 
 
 @dataclass(frozen=True)
@@ -177,12 +184,14 @@ class Simulation:
         # a fault that can never fire is a typo, not a fault-free run
         for fault in faults:
             if isinstance(fault, Crash):
+                if math.isnan(fault.at_ms):
+                    raise ConfigError(f"crash time is not a number: {fault!r}")
                 named = {fault.node}
                 self.crashes[fault.node] = min(
                     fault.at_ms, self.crashes.get(fault.node, fault.at_ms)
                 )
             elif isinstance(fault, Partition):
-                if fault.end_ms <= fault.start_ms:
+                if not fault.end_ms > fault.start_ms:  # also when either is NaN
                     raise ConfigError(f"partition does not end after it starts: {fault!r}")
                 if not fault.nodes or fault.nodes >= self.roles.keys():
                     raise ConfigError(f"partition cuts no link: {fault!r}")

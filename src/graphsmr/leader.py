@@ -6,7 +6,7 @@ proposer that owns the vertex.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Union
+from typing import Sequence, Union
 
 from .core import Batch, Command, Deps, Proposal, VertexId
 from .messages import (
@@ -120,9 +120,9 @@ class Leader:
         out.append(SetTimer(self.retransmit_ms, ("dep-retx", v)))
         return out
 
-    def _initial_targets(self, v: VertexId) -> tuple[str, ...]:
+    def _initial_targets(self, v: VertexId) -> Sequence[str]:
         if not self.thrifty:
-            return tuple(self.dep_nodes)
+            return self.dep_nodes
         n = len(self.dep_nodes)
         start = v.seq % n
         return tuple(self.dep_nodes[(start + i) % n] for i in range(self.f + 1))

@@ -10,7 +10,7 @@ destination, and the simulator delivers that object itself, so no receiver
 may change what the others see. Effects are per-call records that the
 transport reads once and drops, so they are plain mutable records and are
 not hashable. Every class keeps its fields in slots, since one is built on
-nearly every event.
+nearly every event, and a message class is built through core.slot_init.
 """
 
 from __future__ import annotations
@@ -18,20 +18,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .core import Batch, Command, Deps, Proposal, VertexId
+from .core import Batch, Command, Deps, Proposal, VertexId, slot_init
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class ClientRequest:
     cmd: Command
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class DepRequest:
     v: VertexId
     cmd: Union[Command, Batch]
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class DepReply:
     v: VertexId
@@ -39,18 +42,21 @@ class DepReply:
     deps: Deps
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class ProposeRequest:
     v: VertexId
     proposal: Proposal
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class Phase1a:
     v: VertexId
     round: int
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class Phase1b:
     v: VertexId
@@ -59,6 +65,7 @@ class Phase1b:
     voted_value: Optional[Proposal]
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class Phase2a:
     v: VertexId
@@ -66,24 +73,28 @@ class Phase2a:
     value: Proposal
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class Phase2b:
     v: VertexId
     round: int
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class Nack:
     v: VertexId
     promised: int
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class Commit:
     v: VertexId
     proposal: Proposal
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class ClientResponse:
     client_id: str
@@ -92,6 +103,7 @@ class ClientResponse:
     output: Optional[bytes]
 
 
+@slot_init
 @dataclass(frozen=True, slots=True)
 class ProposeMissing:
     """A proposer asks the leader of v to resend v's ProposeRequest, which

@@ -8,7 +8,7 @@ embedded consensus proposer, which learns the chosen value or fills a noop.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from .consensus import Proposer
 from .core import (
@@ -245,43 +245,38 @@ class Replica:
         return deps or []
 
     def _execute_vertex(self, v: VertexId, out: list[Effect]) -> None:
-        proposal = self.graph.committed[v]
+        """Apply every command of v in one loop, in batch order. A command
+        the client table already holds is skipped and answered from its
+        cached output; the replica that owns v answers each client."""
+        payload = self.graph.committed[v].cmd
         self.graph.mark_executed(v)
-        cmds: tuple[Union[Command, Noop], ...]
-        if isinstance(proposal.cmd, Batch):
-            cmds = proposal.cmd.commands
-        else:
-            cmds = (proposal.cmd,)
+        cmds = payload.commands if isinstance(payload, Batch) else (payload,)
+        name, table, append = self.name, self.table, out.append
+        contains, record, cached = table.contains, table.record, table.cached
+        apply = self.apply_command
         owns = v.owner_replica(self.num_replicas) == self.index
-        for cmd in cmds:
-            self._apply_one(v, cmd, owns, out)
-
-    def _apply_one(
-        self, v: VertexId, cmd: Union[Command, Noop], owns: bool, out: list[Effect]
-    ) -> None:
         position = self.exec_position
-        self.exec_position += 1
-        if isinstance(cmd, Noop):
-            out.append(Note(ExecEvent(self.name, v, None, None, None, False, None, position)))
-            return
-
-        applied = not self.table.contains(cmd.client_id, cmd.client_seq)
-        if applied:
-            available, output = True, self.apply_command(cmd)
-            self.table.record(cmd.client_id, cmd.client_seq, output)
-        else:
-            available, output = self.table.cached(cmd.client_id, cmd.client_seq)
-        out.append(Note(ExecEvent(
-            self.name, v, cmd.client_id, cmd.client_seq, cmd.op,
-            applied, output if available else None, position,
-        )))
-        if owns:  # the answer to the client, from the replica that owns v only
-            out.append(Note(RespondEvent(
-                self.name, v, cmd.client_id, cmd.client_seq, available, output
+        for cmd in cmds:
+            if isinstance(cmd, Noop):
+                append(Note(ExecEvent(name, v, None, None, None, False, None, position)))
+                position += 1
+                continue
+            client, seq = cmd.client_id, cmd.client_seq
+            if contains(client, seq):
+                applied = False
+                available, output = cached(client, seq)
+            else:
+                applied = available = True
+                output = apply(cmd)
+                record(client, seq, output)
+            append(Note(ExecEvent(
+                name, v, client, seq, cmd.op, applied, output if available else None, position
             )))
-            out.append(Send(
-                cmd.client_id, ClientResponse(cmd.client_id, cmd.client_seq, available, output)
-            ))
+            position += 1
+            if owns:  # the answer to the client, from the replica that owns v only
+                append(Note(RespondEvent(name, v, client, seq, available, output)))
+                append(Send(client, ClientResponse(client, seq, available, output)))
+        self.exec_position = position
 
     def apply_command(self, cmd: Command) -> Optional[bytes]:
         if isinstance(cmd.op, Get):

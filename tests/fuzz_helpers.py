@@ -12,11 +12,12 @@ from bisect import bisect_left
 from fractions import Fraction
 
 from graphsmr.consensus import ChosenEvent
-from graphsmr.core import Get, Op, Payload, Set, VertexId, footprint, key_access
+from graphsmr.core import Batch, Get, Noop, Op, Payload, Set, VertexId, footprint, key_access
 from graphsmr.harness import Crash, Fault, LinkFault, SimConfig, Timeouts, export_history
 from graphsmr.harness.mutations import Mutations
 from graphsmr.harness.sim import Simulation
-from graphsmr.replica import CommitSeen, ExecEvent, _tarjan_sccs
+from graphsmr.messages import ClientResponse, Note, Send
+from graphsmr.replica import CommitSeen, ExecEvent, RespondEvent, _tarjan_sccs
 from graphsmr.sockets import SocketCluster
 
 HOT = b"hotkey!!"
@@ -298,6 +299,40 @@ def reference_execute_eligible(replica) -> list:
             for v in sorted(comp, key=VertexId.sort_key):
                 replica._execute_vertex(v, out)
     return out
+
+
+def reference_execute_vertex(replica, v, out: list) -> None:
+    """Reference for Replica._execute_vertex: one command at a time, each
+    reading and advancing the replica's execution position and looking the
+    replica's name, client table and ownership up again. Install it on an
+    instance (replica._execute_vertex = partial(reference_execute_vertex,
+    replica)) to drive a replica's execution through it."""
+    proposal = replica.graph.committed[v]
+    replica.graph.mark_executed(v)
+    cmds = proposal.cmd.commands if isinstance(proposal.cmd, Batch) else (proposal.cmd,)
+    for cmd in cmds:
+        position = replica.exec_position
+        replica.exec_position += 1
+        if isinstance(cmd, Noop):
+            out.append(Note(ExecEvent(replica.name, v, None, None, None, False, None, position)))
+            continue
+        applied = not replica.table.contains(cmd.client_id, cmd.client_seq)
+        if applied:
+            available, output = True, replica.apply_command(cmd)
+            replica.table.record(cmd.client_id, cmd.client_seq, output)
+        else:
+            available, output = replica.table.cached(cmd.client_id, cmd.client_seq)
+        out.append(Note(ExecEvent(
+            replica.name, v, cmd.client_id, cmd.client_seq, cmd.op,
+            applied, output if available else None, position,
+        )))
+        if v.owner_replica(replica.num_replicas) == replica.index:
+            out.append(Note(RespondEvent(
+                replica.name, v, cmd.client_id, cmd.client_seq, available, output
+            )))
+            out.append(Send(
+                cmd.client_id, ClientResponse(cmd.client_id, cmd.client_seq, available, output)
+            ))
 
 
 def commit_holes(result, faults=(), settle_ms=0.0) -> list[tuple[str, VertexId]]:

@@ -1,5 +1,7 @@
+import dataclasses
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from fuzz_helpers import conflicts
 from graphsmr.core import (
@@ -14,7 +16,9 @@ from graphsmr.core import (
     VertexId,
     WatermarkSet,
     fnv1a64,
+    footprint,
     key_access,
+    slot_init,
 )
 from graphsmr.harness import export_history
 from graphsmr.replica import CommitSeen
@@ -62,6 +66,28 @@ def test_conflicts_symmetric(x, y):
     ax, ay = key_access(x), key_access(y)
     via_key_access = any(key in ay and (writes or ay[key]) for key, writes in ax.items())
     assert via_key_access == conflicts(x, y) == conflicts(y, x)
+
+
+few_keys = st.sampled_from([b"a", b"b", b"c"])
+few_key_commands = st.builds(
+    cmd, st.one_of(st.builds(Get, few_keys), st.builds(Set, few_keys, st.just(b"v")))
+)
+
+
+@given(st.one_of(
+    st.just(NOOP),
+    few_key_commands,
+    st.lists(few_key_commands, min_size=1, max_size=6).map(lambda c: Batch(tuple(c))),
+))
+@example(Batch((cmd(Get(b"a")), cmd(Set(b"b", b"v")), cmd(Set(b"a", b"v")), cmd(Get(b"b")))))
+def test_key_access_is_the_fold_of_footprint(x):
+    """key_access reads a payload in one loop; it must equal the fold of
+    footprint() pair by pair, key order included, also for a key read then
+    written and one written then read."""
+    fold: dict[bytes, bool] = {}
+    for key, is_write in footprint(x):
+        fold[key] = fold.get(key, False) or is_write
+    assert list(key_access(x).items()) == list(fold.items())
 
 
 vertex_ids = st.builds(VertexId, st.integers(0, 3), st.integers(0, 5))
@@ -227,6 +253,47 @@ def test_watermark_set_matches_a_plain_set(first, pairs):
         assert (row, w + 1) not in oracle
     assert all((row, first) not in oracle for row in "abcd" if row not in ws.low)
     assert all(seq > ws.low.get(row, first - 1) + 1 for row, seq in ws.sparse)
+
+
+def _frozen_slotted_classes():
+    from graphsmr import core, messages
+
+    return [
+        cls for module in (core, messages) for cls in vars(module).values()
+        if isinstance(cls, type) and cls.__module__ == module.__name__
+        and dataclasses.is_dataclass(cls) and cls.__dataclass_params__.frozen
+    ]
+
+
+@pytest.mark.parametrize("cls", _frozen_slotted_classes(), ids=lambda cls: cls.__name__)
+def test_slot_init_builds_what_the_dataclass_init_builds(cls):
+    """Every frozen value and message class stores its fields through its
+    slots (core.slot_init), positionally or by keyword, into an instance
+    equal to one whose fields object.__setattr__ stored, as the generated
+    dataclass __init__ does; the instance stays frozen."""
+    assert cls.__init__.__qualname__ == f"{cls.__qualname__}.__init__"
+    assert cls.__init__.__code__.co_filename == "<string>"
+    names = [f.name for f in dataclasses.fields(cls)]
+    values = [object() for _ in names]
+    reference = object.__new__(cls)
+    for name, value in zip(names, values):
+        object.__setattr__(reference, name, value)
+    built, by_name = cls(*values), cls(**dict(zip(names, values)))
+    assert [getattr(built, n) for n in names] == [getattr(by_name, n) for n in names] == values
+    assert built == reference
+    for name in names:
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(built, name, None)
+    with pytest.raises(TypeError):
+        cls(*values, None)
+
+
+def test_slot_init_rejects_field_defaults():
+    with pytest.raises(TypeError, match="field default"):
+        @slot_init
+        @dataclasses.dataclass(frozen=True, slots=True)
+        class WithDefault:
+            x: int = 0
 
 
 def test_noop_proposal_must_have_empty_deps():

@@ -29,6 +29,7 @@ from graphsmr.harness import (
     NO_TIMEOUTS,
     Partition,
     SimConfig,
+    Timeouts,
     build_cluster,
     check_history,
     export_history,
@@ -416,11 +417,28 @@ class TestConfigValidation:
         pytest.param(LinkFault("*", "*"), id="link-sets-nothing"),
         pytest.param(Partition(frozenset(), 5.0, 60.0), id="partition-no-node"),
         pytest.param(Partition(EVERY_NODE, 5.0, 60.0), id="partition-every-node"),
+        # a time that is not a number: no clock ever reaches it
+        pytest.param(Crash("leader-0", float("nan")), id="crash-nan-time"),
+        pytest.param(Partition(frozenset({"rep-0"}), float("nan"), 60.0), id="partition-nan-start"),
+        pytest.param(Partition(frozenset({"rep-0"}), 5.0, float("nan")), id="partition-nan-end"),
     ]))
     def test_bad_link_fault_probability_rejected(self, fault, transport):
         """Both transports validate faults in Simulation's constructor."""
         with pytest.raises(ConfigError):
             transport(SimConfig(seed=0), simple_workload(), [fault])
+
+    @pytest.mark.parametrize("name, transport", on_each_transport([
+        pytest.param(name, id=name)
+        for name in ("client_retry_ms", "retransmit_ms", "recovery_timeout_ms")
+    ]))
+    def test_non_positive_timeouts_rejected(self, name, transport):
+        """A timer of no delay (or less) re-fires at one instant forever, so
+        the run hangs, and one of NaN never fires: both transports reject
+        either before the run starts."""
+        for delay in (0.0, -5.0, float("nan")):
+            config = SimConfig(seed=1, timeouts=Timeouts(**{name: delay}), max_sim_ms=200.0)
+            with pytest.raises(ConfigError, match=name):
+                transport(config, [[Get(b"a")] * 3 for _ in range(2)])
 
     @pytest.mark.parametrize("delays", [
         dict(min_delay_ms=-1.0, max_delay_ms=1.0),

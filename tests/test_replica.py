@@ -1,10 +1,11 @@
+import functools
 import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fuzz_helpers import conflicts, reference_execute_eligible
+from fuzz_helpers import conflicts, reference_execute_eligible, reference_execute_vertex
 from graphsmr.consensus import Proposer
 from graphsmr.core import (
     Batch,
@@ -14,6 +15,7 @@ from graphsmr.core import (
     ExactDeps,
     Get,
     NOOP,
+    NOOP_PROPOSAL,
     Proposal,
     Set,
     VertexId,
@@ -516,6 +518,52 @@ def test_execution_matches_full_traversal_oracle(data):
                 for v, deps in replica.graph.waiting.items()}
 
     assert unexecuted(rep) == unexecuted(oracle)
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_batch_execution_matches_per_command_reference(data):
+    """Random Commands, Batches and Noops committed in random orders (some
+    twice), with (client, seq) pairs repeated across vertices and seqs out
+    of order, so the client table skips commands and answers from its
+    cached output: every commit() returns the same effects, call by call,
+    as on a replica that applies one command at a time
+    (fuzz_helpers.reference_execute_vertex), and both end in the same
+    state."""
+    universe = [VertexId(i % 3, i // 3) for i in range(data.draw(st.integers(1, 10)))]
+    committed = data.draw(st.lists(st.sampled_from(universe), min_size=1, unique=True))
+    commands = st.builds(
+        Command,
+        st.sampled_from(["c0", "c1"]),
+        st.integers(1, 4),
+        st.one_of(
+            st.builds(Get, st.sampled_from([b"x", b"y"])),
+            st.builds(Set, st.sampled_from([b"x", b"y"]), st.binary(min_size=1, max_size=1)),
+        ),
+    )
+    payloads = st.one_of(
+        commands, st.lists(commands, min_size=1, max_size=4).map(lambda c: Batch(tuple(c)))
+    )
+    deps = st.lists(st.sampled_from(universe), max_size=3).map(
+        lambda vs: ExactDeps(frozenset(vs))
+    )
+    proposals = {
+        v: NOOP_PROPOSAL if data.draw(st.integers(0, 5)) == 0
+        else Proposal(data.draw(payloads), data.draw(deps))
+        for v in committed
+    }
+    order = data.draw(st.permutations(committed))
+    order += data.draw(st.lists(st.sampled_from(committed), max_size=3))
+
+    index = data.draw(st.integers(0, 1))
+    rep, reference = make_replica(index, 2), make_replica(index, 2)
+    reference._execute_vertex = functools.partial(reference_execute_vertex, reference)
+    for v in order:
+        assert rep.commit(v, proposals[v], 0.0) == reference.commit(v, proposals[v], 0.0)
+    assert rep.kv == reference.kv
+    assert rep.exec_position == reference.exec_position
+    assert rep.table.highest == reference.table.highest
+    assert vars(rep.table.executed) == vars(reference.table.executed)
 
 
 @given(st.data())

@@ -76,3 +76,20 @@ def test_fingerprint_quick_is_reproducible(tmp_path):
     assert proc.returncode == 1
     assert proc.stdout == first.stdout
     assert proc.stderr.splitlines() == ["missing: mutation/gone/0", "expected runs missing: 1"]
+
+
+def test_abtime_checkout_against_itself(tmp_path):
+    """An A/A run: the checkout timed against itself in one process, which
+    produces the same histories and wire traces on both sides."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    root = str(SCRIPTS.parent)
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "abtime.py"), root, root,
+         "--workload", "hotspot", "--seed", "7", "--pairs", "2"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines[1:3]] == ["pair 0 (old first)", "pair 1 (new first)"]
+    assert lines[3].startswith("old: median ") and lines[4].startswith("new: median ")
+    assert lines[5].startswith("new lower in ") and " of 2 pairs" in lines[5]
